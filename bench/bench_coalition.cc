@@ -105,7 +105,7 @@ score(const ColocationInstance &instance,
     scan.threads = threads;
 
     SchemeScore out;
-    out.blocking = countBlockingCoalitions(structure, prefs, scan);
+    out.blocking = scanBlockingCoalitions(structure, prefs, scan).count;
 
     std::vector<double> penalties(instance.agents(), 0.0);
     std::vector<double> demand;

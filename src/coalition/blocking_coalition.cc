@@ -1,7 +1,6 @@
 #include "blocking_coalition.hh"
 
 #include <algorithm>
-#include <iterator>
 
 #include "obs/obs.hh"
 #include "util/error.hh"
@@ -20,10 +19,10 @@ currentPenalties(const CoalitionStructure &structure,
     const std::size_t n = structure.agents();
     std::vector<double> current(n, 0.0);
     parallelFor(0, n, threads, [&](std::size_t a) {
-        if (structure.coalitionOf(a) != kNoCoalition) {
-            const auto others = structure.othersOf(a);
-            current[a] = prefs.believedPenalty(a, others);
-        }
+        const std::size_t g = structure.coalitionOf(a);
+        if (g != kNoCoalition)
+            current[a] =
+                prefs.believedPenalty(a, structure.coalitions()[g]);
     });
     return current;
 }
@@ -45,69 +44,91 @@ checkConfig(const CoalitionScanConfig &config)
             "blocking-coalition scan: negative alpha ", config.alpha);
 }
 
+/** One anchor chunk's tally and best coalition, plus scratch buffers
+ *  reused across its anchors. */
+struct Part
+{
+    std::size_t found = 0;
+    std::size_t evaluated = 0;
+
+    // A flagged value instead of std::optional: gcc 12 reports
+    // spurious maybe-uninitialized warnings on moving an optional's
+    // payload through parallelReduce's join.
+    BlockingCoalition best;
+    bool hasBest = false;
+
+    std::vector<AgentId> candidates, chosen, members;
+
+    /** Larger minimum gain first, then the lexicographically smaller
+     *  member list. */
+    bool beats(double min_gain, const std::vector<AgentId> &coalition)
+        const
+    {
+        if (!hasBest)
+            return true;
+        if (min_gain != best.minGain)
+            return min_gain > best.minGain;
+        return coalition < best.members;
+    }
+
+    void join(Part &&other)
+    {
+        found += other.found;
+        evaluated += other.evaluated;
+        if (other.hasBest && beats(other.best.minGain, other.best.members)) {
+            best = std::move(other.best);
+            hasBest = true;
+        }
+    }
+};
+
 /**
  * Enumerate candidate coalitions anchored at `anchor` in preference
- * order and hand each blocking one to `found`; `found` returns true
- * to stop this anchor's enumeration early (first mode). Returns the
- * number of candidate coalitions evaluated.
+ * order, tallying each blocking one into `part`.
  */
-template <typename Found>
-std::size_t
+void
 scanAnchor(AgentId anchor, const CoalitionStructure &structure,
            const CoalitionPreferences &prefs,
            const CoalitionScanConfig &config,
-           const std::vector<double> &current, Found &&found)
+           const std::vector<double> &current, Part &part)
 {
     // Anchor dedup: only co-members above the anchor, so every
     // coalition is seen exactly once, from its minimum member.
-    std::vector<AgentId> candidates;
-    for (AgentId j : prefs.rankedCandidates(anchor, 0)) {
-        if (j <= anchor || structure.coalitionOf(j) == kNoCoalition)
-            continue;
-        candidates.push_back(j);
-        if (config.candidateCap != 0 &&
-            candidates.size() == config.candidateCap)
-            break;
-    }
+    std::vector<AgentId> &candidates = part.candidates;
+    candidates.clear();
+    for (AgentId j : prefs.rankedCandidates(anchor))
+        if (j > anchor && structure.coalitionOf(j) != kNoCoalition)
+            candidates.push_back(j);
 
-    std::size_t evaluated = 0;
-    std::vector<AgentId> chosen;
-    std::vector<AgentId> members;
-    bool stop = false;
+    std::vector<AgentId> &chosen = part.chosen;
+    std::vector<AgentId> &members = part.members;
+    chosen.clear();
 
     // Depth-first subset growth along the ranked candidate list; each
     // node is one candidate coalition {anchor} + chosen.
     auto grow = [&](auto &&self, std::size_t next) -> void {
-        if (stop)
-            return;
         if (!chosen.empty()) {
-            ++evaluated;
-            members.clear();
-            members.push_back(anchor);
+            ++part.evaluated;
+            members.assign(1, anchor);
             members.insert(members.end(), chosen.begin(),
                            chosen.end());
             std::sort(members.begin(), members.end());
 
             double min_gain = 0.0;
-            bool first = true;
-            std::vector<AgentId> others;
-            others.reserve(members.size() - 1);
             for (std::size_t i = 0; i < members.size(); ++i) {
-                others.clear();
-                for (std::size_t j = 0; j < members.size(); ++j)
-                    if (j != i)
-                        others.push_back(members[j]);
                 const double gain =
                     current[members[i]] -
-                    prefs.believedPenalty(members[i], others);
-                if (first || gain < min_gain)
+                    prefs.believedPenalty(members[i], members);
+                if (i == 0 || gain < min_gain)
                     min_gain = gain;
-                first = false;
             }
-            if (clears(min_gain, config.alpha) &&
-                found(BlockingCoalition{members, min_gain})) {
-                stop = true;
-                return;
+            if (clears(min_gain, config.alpha)) {
+                ++part.found;
+                if (part.beats(min_gain, members)) {
+                    part.best.members = members;
+                    part.best.minGain = min_gain;
+                    part.hasBest = true;
+                }
             }
         }
         if (chosen.size() + 1 >= config.maxSize)
@@ -116,12 +137,9 @@ scanAnchor(AgentId anchor, const CoalitionStructure &structure,
             chosen.push_back(candidates[c]);
             self(self, c + 1);
             chosen.pop_back();
-            if (stop)
-                return;
         }
     };
     grow(grow, 0);
-    return evaluated;
 }
 
 /** Can any coalition of up to maxSize members make the anchor clear
@@ -131,208 +149,51 @@ anchorCanBlock(AgentId anchor, double current_a,
                const CoalitionPreferences &prefs,
                const CoalitionScanConfig &config)
 {
-    const double best_gain =
-        current_a - prefs.bestPossiblePenalty(anchor, config.maxSize);
-    return config.alpha > 0.0 ? best_gain >= config.alpha
-                              : best_gain > 0.0;
-}
-
-void
-recordScan(std::size_t candidates, std::size_t found)
-{
-    if (MetricsRegistry *metrics = obsMetrics()) {
-        metrics->counter("coalition.blocking_scans").add(1);
-        metrics->counter("coalition.blocking_candidates").add(candidates);
-        metrics->counter("coalition.blocking_found").add(found);
-    }
+    return clears(current_a -
+                      prefs.bestPossiblePenalty(anchor, config.maxSize),
+                  config.alpha);
 }
 
 constexpr std::size_t kGrain = 8;
 
 } // namespace
 
-std::vector<BlockingCoalition>
-collectBlockingCoalitions(const CoalitionStructure &structure,
-                          const CoalitionPreferences &prefs,
-                          const CoalitionScanConfig &config)
-{
-    checkConfig(config);
-    const TraceSpan span("coalition.blocking_scan", "coalition");
-    const ScopedTimer timer("coalition.blocking_seconds");
-    const std::size_t n = structure.agents();
-    const std::vector<double> current =
-        currentPenalties(structure, prefs, config.threads);
-
-    struct Part
-    {
-        std::vector<BlockingCoalition> found;
-        std::size_t evaluated = 0;
-    };
-    // Anchor chunks concatenated in chunk order: the output matches
-    // the serial anchor-ascending scan exactly.
-    Part all = parallelReduce(
-        std::size_t(0), n, config.threads, kGrain, Part{},
-        [&](std::size_t begin, std::size_t end) {
-            Part local;
-            for (AgentId a = begin; a < end; ++a) {
-                if (structure.coalitionOf(a) == kNoCoalition)
-                    continue;
-                if (!anchorCanBlock(a, current[a], prefs, config))
-                    continue;
-                local.evaluated += scanAnchor(
-                    a, structure, prefs, config, current,
-                    [&](BlockingCoalition coalition) {
-                        local.found.push_back(std::move(coalition));
-                        return false;
-                    });
-            }
-            return local;
-        },
-        [](Part &acc, Part &&part) {
-            acc.evaluated += part.evaluated;
-            acc.found.insert(acc.found.end(),
-                             std::make_move_iterator(part.found.begin()),
-                             std::make_move_iterator(part.found.end()));
-        });
-    recordScan(all.evaluated, all.found.size());
-    return std::move(all.found);
-}
-
-std::size_t
-countBlockingCoalitions(const CoalitionStructure &structure,
-                        const CoalitionPreferences &prefs,
-                        const CoalitionScanConfig &config)
-{
-    checkConfig(config);
-    const TraceSpan span("coalition.blocking_scan", "coalition");
-    const ScopedTimer timer("coalition.blocking_seconds");
-    const std::size_t n = structure.agents();
-    const std::vector<double> current =
-        currentPenalties(structure, prefs, config.threads);
-
-    struct Part
-    {
-        std::size_t found = 0;
-        std::size_t evaluated = 0;
-    };
-    Part all = parallelReduce(
-        std::size_t(0), n, config.threads, kGrain, Part{},
-        [&](std::size_t begin, std::size_t end) {
-            Part local;
-            for (AgentId a = begin; a < end; ++a) {
-                if (structure.coalitionOf(a) == kNoCoalition)
-                    continue;
-                if (!anchorCanBlock(a, current[a], prefs, config))
-                    continue;
-                local.evaluated += scanAnchor(
-                    a, structure, prefs, config, current,
-                    [&](const BlockingCoalition &) {
-                        ++local.found;
-                        return false;
-                    });
-            }
-            return local;
-        },
-        [](Part &acc, Part &&part) {
-            acc.found += part.found;
-            acc.evaluated += part.evaluated;
-        });
-    recordScan(all.evaluated, all.found);
-    return all.found;
-}
-
-std::optional<BlockingCoalition>
-firstBlockingCoalition(const CoalitionStructure &structure,
+BlockingScan
+scanBlockingCoalitions(const CoalitionStructure &structure,
                        const CoalitionPreferences &prefs,
                        const CoalitionScanConfig &config)
 {
     checkConfig(config);
     const TraceSpan span("coalition.blocking_scan", "coalition");
-    const std::size_t n = structure.agents();
-    const std::vector<double> current =
-        currentPenalties(structure, prefs, /*threads=*/1);
-
-    std::optional<BlockingCoalition> first;
-    std::size_t evaluated = 0;
-    for (AgentId a = 0; a < n && !first; ++a) {
-        if (structure.coalitionOf(a) == kNoCoalition)
-            continue;
-        if (!anchorCanBlock(a, current[a], prefs, config))
-            continue;
-        evaluated += scanAnchor(a, structure, prefs, config, current,
-                                [&](BlockingCoalition coalition) {
-                                    first = std::move(coalition);
-                                    return true;
-                                });
-    }
-    recordScan(evaluated, first ? 1 : 0);
-    return first;
-}
-
-std::optional<BlockingCoalition>
-bestBlockingCoalition(const CoalitionStructure &structure,
-                      const CoalitionPreferences &prefs,
-                      const CoalitionScanConfig &config)
-{
-    checkConfig(config);
-    const TraceSpan span("coalition.blocking_scan", "coalition");
     const ScopedTimer timer("coalition.blocking_seconds");
     const std::size_t n = structure.agents();
     const std::vector<double> current =
         currentPenalties(structure, prefs, config.threads);
 
-    // A flagged value instead of std::optional in the accumulator:
-    // gcc 12 reports spurious maybe-uninitialized warnings on moving
-    // an optional's payload through parallelReduce's join.
-    struct Part
-    {
-        BlockingCoalition best;
-        bool hasBest = false;
-        std::size_t evaluated = 0;
-        std::size_t found = 0;
-    };
-    const auto better = [](const BlockingCoalition &a,
-                           const BlockingCoalition &b) {
-        if (a.minGain != b.minGain)
-            return a.minGain > b.minGain;
-        return a.members < b.members;
-    };
     Part all = parallelReduce(
         std::size_t(0), n, config.threads, kGrain, Part{},
         [&](std::size_t begin, std::size_t end) {
             Part local;
-            for (AgentId a = begin; a < end; ++a) {
-                if (structure.coalitionOf(a) == kNoCoalition)
-                    continue;
-                if (!anchorCanBlock(a, current[a], prefs, config))
-                    continue;
-                local.evaluated += scanAnchor(
-                    a, structure, prefs, config, current,
-                    [&](BlockingCoalition coalition) {
-                        ++local.found;
-                        if (!local.hasBest ||
-                            better(coalition, local.best)) {
-                            local.best = std::move(coalition);
-                            local.hasBest = true;
-                        }
-                        return false;
-                    });
-            }
+            for (AgentId a = begin; a < end; ++a)
+                if (structure.coalitionOf(a) != kNoCoalition &&
+                    anchorCanBlock(a, current[a], prefs, config))
+                    scanAnchor(a, structure, prefs, config, current,
+                               local);
             return local;
         },
-        [&](Part &acc, Part &&part) {
-            acc.evaluated += part.evaluated;
-            acc.found += part.found;
-            if (part.hasBest &&
-                (!acc.hasBest || better(part.best, acc.best))) {
-                acc.best = std::move(part.best);
-                acc.hasBest = true;
-            }
-        });
-    recordScan(all.evaluated, all.found);
-    if (!all.hasBest)
-        return std::nullopt;
-    return std::move(all.best);
+        [](Part &acc, Part &&part) { acc.join(std::move(part)); });
+
+    if (MetricsRegistry *metrics = obsMetrics()) {
+        metrics->counter("coalition.blocking_scans").add(1);
+        metrics->counter("coalition.blocking_candidates")
+            .add(all.evaluated);
+        metrics->counter("coalition.blocking_found").add(all.found);
+    }
+    BlockingScan out;
+    out.count = all.found;
+    if (all.hasBest)
+        out.best = std::move(all.best);
+    return out;
 }
 
 } // namespace cooper

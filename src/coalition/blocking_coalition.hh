@@ -1,6 +1,6 @@
 /**
  * @file
- * Blocking-coalition detection: bounded enumeration with pruning.
+ * Blocking-coalition detection: exhaustive enumeration with pruning.
  *
  * A coalition S (2 <= |S| <= G) blocks a structure when every member
  * strictly gains by abandoning its current coalition and forming S —
@@ -11,21 +11,19 @@
  * Exhaustive enumeration is O(n^G); the scan bounds it two ways,
  * mirroring blocking.cc's mode-templated skeleton:
  *
- *  - *Anchor dedup + candidate truncation.* Each candidate coalition
- *    is enumerated exactly once from its minimum member (the anchor),
- *    growing along the anchor's preference-ranked candidate list,
- *    optionally truncated to the top `candidateCap` entries (0 keeps
- *    every candidate, which makes the G=2 scan exactly the pairwise
- *    blocking scan).
+ *  - *Anchor dedup.* Each candidate coalition is enumerated exactly
+ *    once from its minimum member (the anchor), growing along the
+ *    anchor's preference-ranked candidate list, so the G=2 scan is
+ *    exactly the pairwise blocking scan.
  *  - *Row-bound pruning.* An anchor whose best conceivable coalition
  *    (CoalitionPreferences::bestPossiblePenalty) cannot clear alpha is
  *    skipped whole, the analogue of blocking.cc's TableRowBound.
  *
  * Like the pairwise scans, only agents currently inside a coalition
  * participate: an agent running alone pays nothing and cannot be
- * improved upon. Collect/count/best parallelize over anchors with
- * chunk-order reduction, so results are bit-identical at any thread
- * count; first is serial in anchor-then-enumeration order.
+ * improved upon. One pass yields both the count and the best
+ * coalition; it parallelizes over anchors with chunk-order reduction,
+ * so results are bit-identical at any thread count.
  */
 
 #ifndef COOPER_COALITION_BLOCKING_COALITION_HH
@@ -59,38 +57,27 @@ struct CoalitionScanConfig
     /** Minimum per-member gain (see blocking.cc semantics). */
     double alpha = 0.0;
 
-    /** Per-anchor ranked-candidate truncation; 0 = no truncation. */
-    std::size_t candidateCap = 0;
-
     /** Worker threads; 0 = hardware, 1 = serial. */
     std::size_t threads = 1;
 };
 
-/** Every blocking coalition, anchors ascending then enumeration
- *  order. */
-std::vector<BlockingCoalition>
-collectBlockingCoalitions(const CoalitionStructure &structure,
-                          const CoalitionPreferences &prefs,
-                          const CoalitionScanConfig &config);
+/** What one scan found. */
+struct BlockingScan
+{
+    /** Blocking coalitions in the structure. */
+    std::size_t count = 0;
 
-/** Tally without materializing. */
-std::size_t
-countBlockingCoalitions(const CoalitionStructure &structure,
-                        const CoalitionPreferences &prefs,
-                        const CoalitionScanConfig &config);
+    /** Largest-minimum-gain blocking coalition (ties: lexicographically
+     *  smallest member list), the formation loop's deviation pick;
+     *  empty exactly when count is 0. */
+    std::optional<BlockingCoalition> best;
+};
 
-/** First blocking coalition in deterministic scan order. */
-std::optional<BlockingCoalition>
-firstBlockingCoalition(const CoalitionStructure &structure,
+/** Count the blocking coalitions and pick the best, in one pass. */
+BlockingScan
+scanBlockingCoalitions(const CoalitionStructure &structure,
                        const CoalitionPreferences &prefs,
                        const CoalitionScanConfig &config);
-
-/** Largest-minimum-gain blocking coalition (ties: lexicographically
- *  smallest member list); the formation loop's deviation pick. */
-std::optional<BlockingCoalition>
-bestBlockingCoalition(const CoalitionStructure &structure,
-                      const CoalitionPreferences &prefs,
-                      const CoalitionScanConfig &config);
 
 } // namespace cooper
 

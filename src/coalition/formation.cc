@@ -1,6 +1,8 @@
 #include "formation.hh"
 
 #include <algorithm>
+#include <optional>
+#include <set>
 
 #include "coalition/value.hh"
 #include "game/shapley.hh"
@@ -172,9 +174,10 @@ formCoalitions(const std::vector<JobTypeId> &types,
         result.structure = *warm_start;
         result.structure.canonicalize();
     }
-    const CoalitionScanConfig scan{G, config.alpha,
-                                   config.candidateCap,
-                                   config.threads};
+    const CoalitionScanConfig scan{G, config.alpha, config.threads};
+    // The chosen cold seed's comparison scan, reused as the first
+    // round's scan unless a capacity repair runs in between.
+    std::optional<BlockingScan> seed_scan;
     const std::vector<AgentId> unassigned =
         unassignedAgents(result.structure);
     if (unassigned.size() >= 2) {
@@ -202,13 +205,16 @@ formCoalitions(const std::vector<JobTypeId> &types,
                 adaptedRoommates(prefs.pairProfile(), believed);
             CoalitionStructure packed =
                 CoalitionStructure::packMatching(sr.matching, G);
-            const std::size_t greedy_blocking =
-                countBlockingCoalitions(greedy, prefs, scan);
-            const std::size_t packed_blocking =
-                countBlockingCoalitions(packed, prefs, scan);
-            result.structure = packed_blocking <= greedy_blocking
-                                   ? std::move(packed)
-                                   : std::move(greedy);
+            BlockingScan greedy_scan =
+                scanBlockingCoalitions(greedy, prefs, scan);
+            BlockingScan packed_scan =
+                scanBlockingCoalitions(packed, prefs, scan);
+            const bool use_packed =
+                packed_scan.count <= greedy_scan.count;
+            result.structure =
+                use_packed ? std::move(packed) : std::move(greedy);
+            seed_scan =
+                use_packed ? std::move(packed_scan) : std::move(greedy_scan);
         } else {
             std::vector<AgentId> order = unassigned;
             Rng seed_rng = rng.substream(kSeedStream);
@@ -222,9 +228,11 @@ formCoalitions(const std::vector<JobTypeId> &types,
     // group (machines() counts those singletons, the occupied-
     // coalition count does not). Repair before scanning: dissolve
     // surplus groups if any, then pack every loose agent.
-    if (result.structure.machines() > machines)
+    if (result.structure.machines() > machines) {
         repairCapacity(result.structure, believed, G, machines,
                        result.structure.coalitions().size());
+        seed_scan.reset();
+    }
 
     // 2. Core-seeking search. Each round applies the best myopic
     // deviation and then repairs capacity, so every structure the
@@ -232,25 +240,41 @@ formCoalitions(const std::vector<JobTypeId> &types,
     // repack perturbs the remnants' utilities there is no potential
     // function, so the search keeps the best (fewest blocking
     // coalitions) feasible structure seen and returns that.
-    result.blockingBefore =
-        countBlockingCoalitions(result.structure, prefs, scan);
+    //
+    // A round is a pure function of the exact coalitions() vector
+    // (slot order and empty slots included: greedyFill breaks ties by
+    // slot order), so a round that reproduces an already-visited
+    // vector has entered a cycle whose every blocking count is
+    // already folded into best_left. Stopping there returns exactly
+    // what running on to maxRounds would (DESIGN.md section 15).
+    BlockingScan current =
+        seed_scan ? std::move(*seed_scan)
+                  : scanBlockingCoalitions(result.structure, prefs, scan);
+    result.blockingBefore = current.count;
     CoalitionStructure best_seen = result.structure;
-    std::size_t best_left = result.blockingBefore;
-    std::size_t left = result.blockingBefore;
-    while (left > 0 && result.rounds < config.maxRounds) {
-        const auto best =
-            bestBlockingCoalition(result.structure, prefs, scan);
-        if (!best)
+    std::size_t best_left = current.count;
+    std::set<std::vector<std::vector<AgentId>>> visited{
+        result.structure.coalitions()};
+    const char *stop = "coalition.stop_core";
+    while (current.count > 0) {
+        if (result.rounds == config.maxRounds) {
+            stop = "coalition.stop_round_cap";
             break;
-        result.structure.deviate(best->members);
+        }
+        const std::vector<AgentId> members =
+            std::move(current.best->members);
+        result.structure.deviate(members);
         repairCapacity(result.structure, believed, G, machines,
-                       result.structure.coalitionOf(
-                           best->members.front()));
+                       result.structure.coalitionOf(members.front()));
         ++result.rounds;
-        left = countBlockingCoalitions(result.structure, prefs, scan);
-        if (left < best_left) {
+        if (!visited.insert(result.structure.coalitions()).second) {
+            stop = "coalition.stop_revisit";
+            break;
+        }
+        current = scanBlockingCoalitions(result.structure, prefs, scan);
+        if (current.count < best_left) {
             best_seen = result.structure;
-            best_left = left;
+            best_left = current.count;
         }
     }
     result.structure = std::move(best_seen);
@@ -279,8 +303,8 @@ formCoalitions(const std::vector<JobTypeId> &types,
         for (std::size_t i = 0; i < group.size(); ++i) {
             const AgentId m = group[i];
             result.truePenalties[m] = true_members[i];
-            result.believedPenalties[m] = prefs.believedPenalty(
-                m, result.structure.othersOf(m));
+            result.believedPenalties[m] =
+                prefs.believedPenalty(m, group);
         }
         if (config.shapleySamples > 0) {
             // One substream per coalition, keyed by its anchor: the
@@ -300,6 +324,7 @@ formCoalitions(const std::vector<JobTypeId> &types,
 
     if (MetricsRegistry *metrics = obsMetrics()) {
         metrics->counter("coalition.formations").add(1);
+        metrics->counter(stop).add(1);
         metrics->counter("coalition.deviations").add(result.rounds);
         metrics->gauge("coalition.blocking_after")
             .set(static_cast<double>(result.blockingAfter));

@@ -4,9 +4,9 @@
  *
  * Forms capacity-capped coalitions (<= G jobs per CMP) from pairwise
  * believed penalties, then drives the structure toward the core by
- * repeatedly applying the best blocking coalition the bounded scan
- * can find — the agent-based core-membership procedure of
- * Vernon-Bido & Collins, specialized to the colocation game:
+ * repeatedly applying the best blocking coalition the scan finds —
+ * the agent-based core-membership procedure of Vernon-Bido &
+ * Collins, specialized to the colocation game:
  *
  *  1. *Seed.* G = 2 seeds with Cooper's adapted stable roommates, so
  *     wherever Irving finds a perfectly stable matching the seed is
@@ -19,17 +19,24 @@
  *     blocking coalitions than the packed pairwise baseline. A
  *     warm-start structure (the online driver's carried coalitions)
  *     replaces the cold seed; leftovers fill greedily the same way.
- *  2. *Core-seeking search.* Each round applies the
- *     largest-minimum-gain blocking coalition (members abandon their
- *     coalitions and form it) and then repairs capacity: a deviation
- *     both strands remnants and claims a machine, so surplus groups
- *     are dissolved (smallest first, never the deviators) and loose
- *     agents re-packed until the structure fits ceil(n/G) machines
- *     again. Because the repack perturbs bystanders' utilities there
- *     is no potential function; the search runs until the bounded
- *     scan finds no blocking coalition or maxRounds hits, and returns
- *     the feasible structure with the fewest blocking coalitions seen
- *     along the way (never worse than the seed).
+ *  2. *Core-seeking search.* Each round scans the structure once
+ *     for its blocking-coalition count and the largest-minimum-gain
+ *     blocking coalition, applies that coalition (members abandon
+ *     their coalitions and form it) and then repairs capacity: a
+ *     deviation both strands remnants and claims a machine, so
+ *     surplus groups are dissolved (smallest first, never the
+ *     deviators) and loose agents re-packed until the structure fits
+ *     ceil(n/G) machines again. Because the repack perturbs
+ *     bystanders' utilities there is no potential function; the
+ *     search returns the feasible structure with the fewest blocking
+ *     coalitions seen along the way (never worse than the seed). It
+ *     stops when the scan finds no blocking coalition, when a round
+ *     reproduces a structure this search already visited, or at
+ *     maxRounds. The revisit stop is exact: a round draws no
+ *     randomness and reads only the structure's exact coalitions()
+ *     vector, so a repeat means the search is cycling through
+ *     structures whose blocking counts it has already seen, and
+ *     running on to maxRounds would return the same result.
  *  3. *Attribution.* Each formed coalition's ground-truth value is
  *     split over its members with the sampled Shapley estimator,
  *     substream-keyed by the coalition's minimum member.
@@ -64,11 +71,9 @@ struct FormationConfig
     /** Minimum per-member gain a deviation must clear (>= 0). */
     double alpha = 0.0;
 
-    /** Hard cap on core-seeking rounds. */
+    /** Hard cap on core-seeking rounds, for searches that never
+     *  revisit a structure. */
     std::size_t maxRounds = 64;
-
-    /** Blocking-scan candidate truncation; 0 = exhaustive. */
-    std::size_t candidateCap = 0;
 
     /** Shapley samples per coalition; 0 skips attribution. */
     std::size_t shapleySamples = 128;
@@ -83,10 +88,11 @@ struct FormationResult
     /** Final structure, canonical form. */
     CoalitionStructure structure;
 
-    /** Core-seeking rounds played (deviations applied). */
+    /** Core-seeking rounds played (deviations applied), up to the
+     *  stop: a round that reproduced a visited structure counts. */
     std::size_t rounds = 0;
 
-    /** No blocking coalition survived the bounded scan at exit. */
+    /** No blocking coalition survived the scan at exit. */
     bool coreStable = false;
 
     /** Blocking coalitions in the seed / final structure. */

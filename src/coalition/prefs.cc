@@ -1,7 +1,5 @@
 #include "prefs.hh"
 
-#include <algorithm>
-
 #include "util/error.hh"
 
 namespace cooper {
@@ -13,47 +11,18 @@ CoalitionPreferences::CoalitionPreferences(
     fatalIf(believed.agents() != believed.candidates(),
             "CoalitionPreferences: believed table must be square, got ",
             believed.agents(), "x", believed.candidates());
+    profile_ = PreferenceProfile::fromTable(believed, /*exclude_self=*/true);
 }
 
 double
 CoalitionPreferences::believedPenalty(
-    AgentId self, std::span<const AgentId> others) const
+    AgentId self, std::span<const AgentId> members) const
 {
     double total = 0.0;
-    for (AgentId other : others)
-        total += (*believed_)(self, other);
+    for (AgentId other : members)
+        if (other != self)
+            total += (*believed_)(self, other);
     return total;
-}
-
-std::vector<AgentId>
-CoalitionPreferences::rankedCandidates(AgentId self,
-                                       std::size_t limit) const
-{
-    const std::size_t n = agents();
-    std::vector<AgentId> order;
-    order.reserve(n - 1);
-    for (AgentId j = 0; j < n; ++j)
-        if (j != self)
-            order.push_back(j);
-    std::sort(order.begin(), order.end(), [&](AgentId a, AgentId b) {
-        const double da = (*believed_)(self, a);
-        const double db = (*believed_)(self, b);
-        return da != db ? da < db : a < b;
-    });
-    if (limit != 0 && order.size() > limit)
-        order.resize(limit);
-    return order;
-}
-
-const PreferenceProfile &
-CoalitionPreferences::pairProfile() const
-{
-    if (!profileBuilt_) {
-        profile_ =
-            PreferenceProfile::fromTable(*believed_, /*exclude_self=*/true);
-        profileBuilt_ = true;
-    }
-    return profile_;
 }
 
 double

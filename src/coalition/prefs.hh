@@ -27,7 +27,8 @@ namespace cooper {
 
 /**
  * Believed-cost oracle over coalitions, built on a pairwise
- * DisutilityTable (which must outlive this object).
+ * DisutilityTable (which must outlive this object). Construction
+ * ranks every agent's candidates once; scans then only read.
  */
 class CoalitionPreferences
 {
@@ -37,10 +38,12 @@ class CoalitionPreferences
 
     std::size_t agents() const { return believed_->agents(); }
 
-    /** Believed cost to `self` of sharing a CMP with `others`
-     *  (zero for an empty set; pairwise entry for one co-member). */
+    /** Believed cost to `self` of sharing a CMP with `members`: its
+     *  pairwise entries summed in list order, skipping `self`, so a
+     *  whole coalition may be passed (zero when no one else; the
+     *  pairwise entry for one co-member). */
     double believedPenalty(AgentId self,
-                           std::span<const AgentId> others) const;
+                           std::span<const AgentId> members) const;
 
     /** Does `self` strictly prefer coalition co-members `a` over `b`? */
     bool prefers(AgentId self, std::span<const AgentId> a,
@@ -51,15 +54,16 @@ class CoalitionPreferences
 
     /**
      * `self`'s candidate co-runners ascending by pairwise believed
-     * disutility (id breaks exact ties), truncated to `limit` (0 = no
-     * truncation). The bounded blocking-coalition scan grows
-     * candidate coalitions along this list.
+     * disutility (id breaks exact ties). The blocking-coalition scan
+     * grows candidate coalitions along this list.
      */
-    std::vector<AgentId> rankedCandidates(AgentId self,
-                                          std::size_t limit) const;
+    const std::vector<AgentId> &rankedCandidates(AgentId self) const
+    {
+        return profile_.list(self);
+    }
 
     /** Pairwise restriction as the matchers' PreferenceProfile. */
-    const PreferenceProfile &pairProfile() const;
+    const PreferenceProfile &pairProfile() const { return profile_; }
 
     /**
      * Sound lower bound on the believed cost of any coalition of up
@@ -72,8 +76,7 @@ class CoalitionPreferences
 
   private:
     const DisutilityTable *believed_;
-    mutable PreferenceProfile profile_;
-    mutable bool profileBuilt_ = false;
+    PreferenceProfile profile_;
 };
 
 } // namespace cooper

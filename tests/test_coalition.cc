@@ -4,14 +4,20 @@
  * subsystem: structures hold their partition invariants, the shared
  * value function agrees with the interference model, the G = 2
  * blocking-coalition scan is a drop-in for the pairwise blocking
- * scan, formation is bit-identical at any thread count and dominates
- * packed pairs at equal capacity, and the online driver's coalition
- * mode checkpoints and resumes exactly.
+ * scan and every scan matches a brute-force enumeration, formation is
+ * bit-identical at any thread count and dominates packed pairs at
+ * equal capacity, the online driver's coalition mode checkpoints and
+ * resumes exactly, and stopping the core-seeking search at its first
+ * revisited structure leaves pinned formation and summary bytes
+ * unchanged.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +29,7 @@
 #include "coalition/value.hh"
 #include "core/experiment.hh"
 #include "io/serialize.hh"
+#include "obs/obs.hh"
 #include "matching/blocking.hh"
 #include "matching/stable_roommates.hh"
 #include "online/churn.hh"
@@ -165,7 +172,7 @@ TEST(CoalitionPrefs, AdditiveExtensionRestrictsToPairs)
                      pop.believed(0, 3) + pop.believed(0, 7));
 
     // Ranked candidates ascend by pairwise believed cost.
-    const std::vector<AgentId> ranked = prefs.rankedCandidates(0, 0);
+    const std::vector<AgentId> ranked = prefs.rankedCandidates(0);
     ASSERT_EQ(ranked.size(), 11u);
     for (std::size_t i = 1; i < ranked.size(); ++i)
         EXPECT_LE(pop.believed(0, ranked[i - 1]),
@@ -190,15 +197,168 @@ TEST(CoalitionBlocking, PairScanMatchesThePairwiseBlockingScan)
         scan.maxSize = 2;
         const std::size_t pairwise =
             countBlockingPairs(matching, pop.believed, 0.0);
-        EXPECT_EQ(countBlockingCoalitions(structure, prefs, scan),
+        EXPECT_EQ(scanBlockingCoalitions(structure, prefs, scan).count,
                   pairwise)
             << "seed " << seed;
 
         // And the count is thread-count independent.
         scan.threads = 4;
-        EXPECT_EQ(countBlockingCoalitions(structure, prefs, scan),
+        EXPECT_EQ(scanBlockingCoalitions(structure, prefs, scan).count,
                   pairwise);
     }
+}
+
+/**
+ * Reference scan: every 2..max_size subset of grouped agents, scored
+ * from scratch. Costs sum pairwise entries in ascending member order,
+ * the order the scan sums them in, so gains compare exactly.
+ */
+BlockingScan
+bruteForceScan(const CoalitionStructure &structure,
+               const DisutilityTable &believed, std::size_t max_size,
+               double alpha)
+{
+    const auto cost = [&](AgentId self,
+                          const std::vector<AgentId> &group) {
+        double total = 0.0;
+        for (const AgentId m : group)
+            if (m != self)
+                total += believed(self, m);
+        return total;
+    };
+    std::vector<AgentId> grouped;
+    std::vector<double> current(structure.agents(), 0.0);
+    for (AgentId a = 0; a < structure.agents(); ++a) {
+        const std::size_t g = structure.coalitionOf(a);
+        if (g == kNoCoalition)
+            continue;
+        grouped.push_back(a);
+        std::vector<AgentId> home = structure.coalitions()[g];
+        std::sort(home.begin(), home.end());
+        current[a] = cost(a, home);
+    }
+
+    BlockingScan out;
+    std::vector<AgentId> subset;
+    const auto visit = [&](auto &&self, std::size_t next) -> void {
+        if (subset.size() >= 2) {
+            double min_gain = std::numeric_limits<double>::infinity();
+            for (const AgentId m : subset)
+                min_gain = std::min(min_gain, current[m] - cost(m, subset));
+            const bool blocks =
+                alpha > 0.0 ? min_gain >= alpha : min_gain > 0.0;
+            if (blocks) {
+                ++out.count;
+                if (!out.best || min_gain > out.best->minGain ||
+                    (min_gain == out.best->minGain &&
+                     subset < out.best->members))
+                    out.best = BlockingCoalition{subset, min_gain};
+            }
+        }
+        if (subset.size() == max_size)
+            return;
+        for (std::size_t i = next; i < grouped.size(); ++i) {
+            subset.push_back(grouped[i]);
+            self(self, i + 1);
+            subset.pop_back();
+        }
+    };
+    visit(visit, 0);
+    return out;
+}
+
+/** A random partition: shuffled agents carved into groups of 2..G,
+ *  with about one agent in five left alone. */
+CoalitionStructure
+randomStructure(std::size_t n, std::size_t max_size, Rng &rng)
+{
+    std::vector<AgentId> order(n);
+    for (AgentId a = 0; a < n; ++a)
+        order[a] = a;
+    rng.shuffle(order);
+    CoalitionStructure structure(n);
+    std::size_t next = 0;
+    while (next + 1 < n) {
+        if (rng.bernoulli(0.2)) {
+            ++next;
+            continue;
+        }
+        const std::size_t size = std::min(
+            n - next, 2 + static_cast<std::size_t>(
+                              rng.uniformInt(max_size - 1)));
+        structure.addCoalition(std::vector<AgentId>(
+            order.begin() + static_cast<std::ptrdiff_t>(next),
+            order.begin() + static_cast<std::ptrdiff_t>(next + size)));
+        next += size;
+    }
+    return structure;
+}
+
+TEST(CoalitionBlocking, ScanMatchesBruteForceEnumeration)
+{
+    const Fixture fx;
+    const std::size_t n = 13;
+
+    // A sampled believed table, and a synthetic one drawn from a few
+    // values so that rows hold negative entries and gains tie
+    // exactly. Its diagonal sits above every entry, so each row's
+    // minimum is a real co-runner and the anchor prune is as tight as
+    // it gets.
+    const Population pop = makePopulation(fx, n, 5);
+    Rng table_rng(19);
+    const double levels[] = {-0.1, -0.05, 0.0, 0.05, 0.1};
+    std::vector<double> cells(n * n);
+    for (double &cell : cells)
+        cell = levels[table_rng.uniformInt(5)];
+    const DisutilityTable synthetic(n, n, [&](AgentId a, AgentId b) {
+        return a == b ? 1.0 : cells[a * n + b];
+    });
+    std::size_t negative_rows = 0;
+    for (AgentId a = 0; a < n; ++a)
+        if (synthetic.rowMin(a) < 0.0)
+            ++negative_rows;
+    ASSERT_GT(negative_rows, 0u);
+
+    std::size_t blocking_seen = 0;
+    for (const DisutilityTable *believed : {&pop.believed, &synthetic}) {
+        const CoalitionPreferences prefs(*believed);
+        Rng rng(23);
+        for (const std::size_t g : {2u, 3u, 4u}) {
+            for (const double alpha : {0.0, 0.02}) {
+                for (int trial = 0; trial < 5; ++trial) {
+                    const CoalitionStructure structure =
+                        randomStructure(n, g, rng);
+                    ASSERT_TRUE(structure.valid(g));
+                    const BlockingScan expected =
+                        bruteForceScan(structure, *believed, g, alpha);
+                    blocking_seen += expected.count;
+                    for (const std::size_t threads : {1u, 2u, 8u}) {
+                        const BlockingScan actual = scanBlockingCoalitions(
+                            structure, prefs, {g, alpha, threads});
+                        const std::string where =
+                            "G=" + std::to_string(g) +
+                            " alpha=" + std::to_string(alpha) +
+                            " trial=" + std::to_string(trial) +
+                            " threads=" + std::to_string(threads);
+                        EXPECT_EQ(actual.count, expected.count) << where;
+                        ASSERT_EQ(actual.best.has_value(),
+                                  expected.best.has_value())
+                            << where;
+                        if (!expected.best)
+                            continue;
+                        EXPECT_EQ(actual.best->members,
+                                  expected.best->members)
+                            << where;
+                        EXPECT_EQ(actual.best->minGain,
+                                  expected.best->minGain)
+                            << where;
+                    }
+                }
+            }
+        }
+    }
+    // The differential must not hold vacuously.
+    EXPECT_GT(blocking_seen, 0u);
 }
 
 TEST(CoalitionFormation, BitIdenticalAcrossThreadCounts)
@@ -279,9 +439,11 @@ TEST(CoalitionFormation, DominatesPackedPairsAtEqualCapacity)
 
             CoalitionScanConfig scan;
             scan.maxSize = g;
-            const std::size_t packed_blocking = countBlockingCoalitions(
-                CoalitionStructure::packMatching(sr.matching, g), prefs,
-                scan);
+            const std::size_t packed_blocking =
+                scanBlockingCoalitions(
+                    CoalitionStructure::packMatching(sr.matching, g),
+                    prefs, scan)
+                    .count;
             EXPECT_LE(formed.blockingAfter, packed_blocking)
                 << "seed " << seed << " G=" << g;
             EXPECT_LE(formed.blockingAfter, formed.blockingBefore);
@@ -457,6 +619,230 @@ TEST(OnlineDriverCoalition, RejectsDegenerateGroupSize)
     config = coalitionConfig(21);
     EXPECT_THROW(OnlineDriver(fx.catalog, fx.model, config, 1),
                  FatalError);
+}
+
+
+// --- Pinned formation bytes ------------------------------------------
+
+/** 64-bit FNV-1a over little-endian words. */
+class Fnv1a
+{
+  public:
+    void word(std::uint64_t value)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash_ ^= (value >> (8 * i)) & 0xff;
+            hash_ *= 0x100000001b3ull;
+        }
+    }
+
+    void real(double value)
+    {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &value, sizeof bits);
+        word(bits);
+    }
+
+    void text(const std::string &bytes)
+    {
+        for (const unsigned char c : bytes) {
+            hash_ ^= c;
+            hash_ *= 0x100000001b3ull;
+        }
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/** Everything a formation decides except how many rounds it took. */
+void
+hashFormation(Fnv1a &fnv, const FormationResult &result)
+{
+    fnv.word(result.structure.coalitions().size());
+    for (const auto &group : result.structure.coalitions()) {
+        fnv.word(group.size());
+        for (const AgentId a : group)
+            fnv.word(a);
+    }
+    fnv.word(result.blockingBefore);
+    fnv.word(result.blockingAfter);
+    fnv.word(result.coreStable ? 1 : 0);
+    for (const double p : result.believedPenalties)
+        fnv.real(p);
+    for (const double p : result.truePenalties)
+        fnv.real(p);
+}
+
+/** A carried structure for warm starts: shuffled agents paired off,
+ *  a third of them left loose. At G >= 3 it is over the machine
+ *  budget, so formation repairs it before searching. */
+CoalitionStructure
+carriedPairs(std::size_t n, std::uint64_t seed)
+{
+    std::vector<AgentId> order(n);
+    for (AgentId a = 0; a < n; ++a)
+        order[a] = a;
+    Rng rng(seed);
+    rng.shuffle(order);
+    CoalitionStructure carried(n);
+    for (std::size_t i = 0; i + 1 < 2 * n / 3; i += 2)
+        carried.addCoalition({order[i], order[i + 1]});
+    return carried;
+}
+
+/** Digest and mean rounds of one formation sweep. */
+struct SweepOutcome
+{
+    std::uint64_t digest = 0;
+    double roundsMean = 0.0;
+};
+
+/** Cold or warm-started formation over a fixed set of populations. */
+SweepOutcome
+formationSweep(std::size_t group_size, bool warm)
+{
+    const Fixture fx;
+    const Rng rng(31);
+    Fnv1a fnv;
+    std::size_t formations = 0;
+    std::size_t rounds = 0;
+    for (const std::size_t agents : {12u, 18u, 24u}) {
+        for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+            const Population pop = makePopulation(fx, agents, seed);
+            FormationConfig config;
+            config.groupSize = group_size;
+            config.alpha = seed % 2 == 0 ? 0.02 : 0.0;
+            config.shapleySamples = 0;
+            const CoalitionStructure carried =
+                carriedPairs(agents, seed + 100);
+            const FormationResult result =
+                formCoalitions(pop.types, pop.believed, fx.model, config,
+                               rng, warm ? &carried : nullptr);
+            hashFormation(fnv, result);
+            ++formations;
+            rounds += result.rounds;
+        }
+    }
+    return {fnv.value(),
+            static_cast<double>(rounds) / static_cast<double>(formations)};
+}
+
+std::string
+hex(std::uint64_t value)
+{
+    std::ostringstream out;
+    out << "0x" << std::hex << value;
+    return out.str();
+}
+
+TEST(CoalitionPinned, FormationBytesMatchThePinnedDigests)
+{
+    // Digests of the formation sweep as the core-seeking search
+    // played every round up to maxRounds. Stopping the search early
+    // must not move a single decided byte.
+    struct Case
+    {
+        std::size_t groupSize;
+        bool warm;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {3, false, 0xc7850dc5a730f65cull},
+        {3, true, 0x1be4f2426f6d53aeull},
+        {4, false, 0xa4b5325a660177b2ull},
+        {4, true, 0xdf3ea38cf6dbc397ull},
+    };
+    for (const Case &c : cases) {
+        const SweepOutcome outcome = formationSweep(c.groupSize, c.warm);
+        EXPECT_EQ(outcome.digest, c.digest)
+            << "G=" << c.groupSize << (c.warm ? " warm" : " cold")
+            << " digest " << hex(outcome.digest);
+    }
+}
+
+TEST(CoalitionPinned, GroupsReplaySummaryMatchesThePinnedDigest)
+{
+    // A replay shaped like the benchmark's groups workload.
+    const Fixture fx;
+    ChurnConfig churn;
+    churn.arrivals = 1500;
+    churn.initialJobs = 10;
+    churn.meanInterarrivalTicks = 2.0;
+    churn.meanLifetimeTicks = 40.0;
+    churn.openEnded = true;
+    Rng trace_rng(7);
+    const ChurnTrace trace =
+        generateChurnTrace(fx.catalog, churn, trace_rng);
+
+    FrameworkConfig config = coalitionConfig(3);
+    config.alpha = 0.02;
+    config.execution.online.epochTicks = 50;
+    config.execution.online.admitPerEpoch = 12;
+    OnlineDriver driver(fx.catalog, fx.model, config, 7);
+    Fnv1a fnv;
+    fnv.text(summaryOf(driver.run(trace)));
+    EXPECT_EQ(fnv.value(), 0xf7f0c48578a07c27ull)
+        << "digest " << hex(fnv.value());
+}
+
+TEST(CoalitionPinned, SearchStopsAtTheFirstRevisitedStructure)
+{
+    // A search that never stops early plays all 64 rounds whenever
+    // blocking coalitions are left, as they are in every formation of
+    // this sweep. It cycles within a couple of rounds, so stopping at
+    // the first revisited structure plays only a few.
+    EXPECT_LT(formationSweep(3, false).roundsMean, 8.0);
+    EXPECT_LT(formationSweep(3, true).roundsMean, 8.0);
+}
+
+
+TEST(CoalitionPinned, StopReasonsAccountForEveryFormation)
+{
+    ObsConfig obs;
+    obs.metrics = true;
+    const ObsScope scope(obs);
+    ASSERT_TRUE(scope.active());
+    formationSweep(3, false);
+    formationSweep(4, true);
+
+    // A zero-round cap stops any search that starts out blocked.
+    const Fixture fx;
+    const Population pop = makePopulation(fx, 24, 2);
+    FormationConfig config;
+    config.groupSize = 3;
+    config.maxRounds = 0;
+    config.shapleySamples = 0;
+    const FormationResult capped = formCoalitions(
+        pop.types, pop.believed, fx.model, config, Rng(31));
+    ASSERT_GT(capped.blockingBefore, 0u);
+    EXPECT_EQ(capped.rounds, 0u);
+
+    // Two agents sharing one machine have nowhere to deviate to.
+    const Population pair = makePopulation(fx, 2, 1);
+    const FormationResult settled = formCoalitions(
+        pair.types, pair.believed, fx.model, config, Rng(31));
+    EXPECT_TRUE(settled.coreStable);
+
+    const MetricsSnapshot snapshot =
+        scope.session()->metrics()->snapshot();
+    const auto counter = [&](const std::string &name) {
+        for (const auto &[key, value] : snapshot.counters)
+            if (key == name)
+                return value;
+        return std::uint64_t(0);
+    };
+    const std::uint64_t formations = counter("coalition.formations");
+    EXPECT_EQ(formations, 26u);
+    EXPECT_EQ(counter("coalition.stop_core") +
+                  counter("coalition.stop_revisit") +
+                  counter("coalition.stop_round_cap"),
+              formations);
+    EXPECT_EQ(counter("coalition.stop_core"), 1u);
+    EXPECT_EQ(counter("coalition.stop_revisit"), 24u);
+    EXPECT_EQ(counter("coalition.stop_round_cap"), 1u);
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cf/item_knn.hh"
@@ -18,9 +20,12 @@
 #include "core/experiment.hh"
 #include "core/policies.hh"
 #include "game/shapley.hh"
+#include "io/serialize.hh"
 #include "matching/blocking.hh"
 #include "matching/matching.hh"
 #include "obs/obs.hh"
+#include "online/churn.hh"
+#include "online/driver.hh"
 #include "sim/interference.hh"
 #include "util/rng.hh"
 #include "workload/catalog.hh"
@@ -281,6 +286,50 @@ TEST(Determinism, ObservabilityDoesNotPerturbResults)
                 EXPECT_EQ(quiet[r].matching.partnerOf(i),
                           observed[r].matching.partnerOf(i));
         }
+    }
+
+    // The coalition online path: a 3-way replay writes the same
+    // summary bytes with collectors on and off.
+    ChurnConfig churn;
+    churn.arrivals = 300;
+    churn.initialJobs = 10;
+    churn.meanInterarrivalTicks = 2.0;
+    churn.meanLifetimeTicks = 40.0;
+    Rng trace_rng(43);
+    const ChurnTrace trace =
+        generateChurnTrace(catalog, churn, trace_rng);
+    FrameworkConfig config;
+    config.policy = "coalition";
+    config.alpha = 0.02;
+    OnlineConfig &online = config.execution.online;
+    online.groupSize = 3;
+    online.epochTicks = 50;
+    online.admitPerEpoch = 12;
+    online.maxQueueDepth = 0;
+    const auto summary = [&] {
+        OnlineDriver driver(catalog, model, config, 43);
+        std::ostringstream out;
+        writeOnlineSummary(out, driver.run(trace));
+        return out.str();
+    };
+    for (std::size_t threads : kThreadCounts) {
+        config.execution.threads = threads;
+        const std::string quiet = summary();
+
+        ObsConfig obs;
+        obs.metrics = true;
+        obs.tracing = true;
+        const ObsScope scope(obs);
+        ASSERT_TRUE(scope.active());
+        const std::string observed = summary();
+
+        std::uint64_t formations = 0;
+        for (const auto &[name, value] :
+             scope.session()->metrics()->snapshot().counters)
+            if (name == "coalition.formations")
+                formations = value;
+        EXPECT_GT(formations, 0u) << "threads " << threads;
+        EXPECT_EQ(quiet, observed) << "threads " << threads;
     }
 }
 
