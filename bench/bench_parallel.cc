@@ -78,7 +78,7 @@ printResults(const std::vector<std::size_t> &thread_counts,
     for (std::size_t t : thread_counts)
         header.push_back("t=" + std::to_string(t));
     for (std::size_t t : thread_counts)
-        header.push_back("x" + std::to_string(t));
+        header.push_back('x' + std::to_string(t));
     header.push_back("identical");
     Table table(std::move(header));
     for (const KernelResult &k : kernels) {

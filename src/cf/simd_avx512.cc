@@ -33,6 +33,22 @@ triRowOffset(std::size_t a, std::size_t items)
     return a * (items - 1) - a * (a - 1) / 2;
 }
 
+/**
+ * Row `r` of every lane's column: values_base[offv[l] + r]. A
+ * full-mask gather over a zero source loads the same lanes as
+ * _mm512_i64gather_pd, whose unspecified source GCC 12 reports as
+ * maybe-uninitialized.
+ */
+inline __m512d
+gatherRow(const double *values_base, __m512i offv, std::size_t r)
+{
+    return _mm512_mask_i64gather_pd(
+        _mm512_setzero_pd(), 0xFF,
+        _mm512_add_epi64(offv,
+                         _mm512_set1_epi64(static_cast<long long>(r))),
+        values_base, 8);
+}
+
 } // namespace
 
 void
@@ -101,11 +117,7 @@ similarityBlockAvx512(const PackedColumns &packed, std::size_t a,
                                    std::countr_zero(uni));
                     uni &= uni - 1;
                     const __m512d x = _mm512_set1_pd(va[r]);
-                    const __m512d y = _mm512_i64gather_pd(
-                        _mm512_add_epi64(
-                            offv, _mm512_set1_epi64(
-                                      static_cast<long long>(r))),
-                        values_base, 8);
+                    const __m512d y = gatherRow(values_base, offv, r);
                     dot = _mm512_add_pd(dot, _mm512_mul_pd(x, y));
                     na = _mm512_add_pd(na, _mm512_mul_pd(x, x));
                     nb = _mm512_add_pd(nb, _mm512_mul_pd(y, y));
@@ -134,11 +146,7 @@ similarityBlockAvx512(const PackedColumns &packed, std::size_t a,
                 const __mmask8 lane =
                     _mm512_test_epi64_mask(mvec, bitv);
                 const __m512d x = _mm512_set1_pd(va[r]);
-                const __m512d y = _mm512_i64gather_pd(
-                    _mm512_add_epi64(
-                        offv,
-                        _mm512_set1_epi64(static_cast<long long>(r))),
-                    values_base, 8);
+                const __m512d y = gatherRow(values_base, offv, r);
                 dot = _mm512_mask_add_pd(dot, lane, dot,
                                          _mm512_mul_pd(x, y));
                 na = _mm512_mask_add_pd(na, lane, na,

@@ -141,10 +141,11 @@ writeOnlineState(std::ostream &os, const OnlineState &state)
     os << "seed " << state.seed << "\n";
     os << "epoch " << state.epoch << "\n";
     os << "tick " << state.clockTick << "\n";
-    os << "totals " << state.totalArrivals << " " << state.totalDepartures
-       << " " << state.totalAdmitted << " " << state.totalProbes << " "
-       << state.totalMigrations << " " << state.totalPairsBroken << " "
-       << state.totalFullRematches << "\n";
+    const OnlineCounts &totals = state.totals;
+    os << "totals " << totals.arrivals << " " << totals.departures << " "
+       << totals.admitted << " " << totals.probes << " "
+       << totals.migrations << " " << totals.pairsBroken << " "
+       << totals.fullRematch << "\n";
     os << std::setprecision(17);
     os << "penalty " << state.lastMeanPenalty << "\n";
     os << "live " << state.live.size() << "\n";
@@ -169,10 +170,10 @@ writeOnlineState(std::ostream &os, const OnlineState &state)
        << " " << state.ratings.knownCount() << "\n";
     for (const auto &entry : state.ratings.entries())
         os << entry.row << " " << entry.col << " " << entry.value << "\n";
-    os << "faults " << state.faultsInjected << " " << state.retries
-       << " " << state.quarantined << " " << state.quarantineReleased
-       << " " << state.abandoned << " " << state.crashes << " "
-       << state.cfFallbacks << " " << state.checkpointFailures << "\n";
+    os << "faults " << totals.faultsInjected << " " << totals.retries
+       << " " << totals.quarantined << " " << totals.quarantineReleased
+       << " " << totals.abandoned << " " << totals.crashes << " "
+       << totals.cfFallbacks << " " << totals.checkpointFailures << "\n";
     os << "quarantine " << state.quarantine.size() << "\n";
     for (const QuarantinedJob &job : state.quarantine)
         os << job.uid << " " << job.type << " " << job.failures << " "
@@ -229,6 +230,7 @@ readOnlineState(std::istream &is)
     expectHeader(is, kOnlineStateHeader, kOnlineStateVersion, line);
 
     OnlineState state;
+    OnlineCounts &totals = state.totals;
     {
         auto fields = sectionLine(is, "seed");
         fatalIf(!(fields >> state.seed),
@@ -246,10 +248,9 @@ readOnlineState(std::istream &is)
     }
     {
         auto fields = sectionLine(is, "totals");
-        fatalIf(!(fields >> state.totalArrivals >> state.totalDepartures >>
-                  state.totalAdmitted >> state.totalProbes >>
-                  state.totalMigrations >> state.totalPairsBroken >>
-                  state.totalFullRematches),
+        fatalIf(!(fields >> totals.arrivals >> totals.departures >>
+                  totals.admitted >> totals.probes >> totals.migrations >>
+                  totals.pairsBroken >> totals.fullRematch),
                 "readOnlineState: malformed totals");
     }
     {
@@ -365,10 +366,10 @@ readOnlineState(std::istream &is)
 
     {
         auto fields = sectionLine(is, "faults");
-        fatalIf(!(fields >> state.faultsInjected >> state.retries >>
-                  state.quarantined >> state.quarantineReleased >>
-                  state.abandoned >> state.crashes >>
-                  state.cfFallbacks >> state.checkpointFailures),
+        fatalIf(!(fields >> totals.faultsInjected >> totals.retries >>
+                  totals.quarantined >> totals.quarantineReleased >>
+                  totals.abandoned >> totals.crashes >>
+                  totals.cfFallbacks >> totals.checkpointFailures),
                 "readOnlineState: malformed faults counters");
     }
 

@@ -271,6 +271,21 @@ EpollServer::runUntilServed()
                     updateWriteInterest(conn);
             }
         }
+        // readReady flushed only the connection it read; a subscriber
+        // that sends nothing gets its broadcasts here, outside the
+        // drain path. EPOLLOUT is armed only when the write blocks (a
+        // connection already waiting on it is flushed by that event).
+        for (const int fd : broadcastTouched_) {
+            const auto it = conns_.find(fd);
+            if (it == conns_.end() || it->second->wqueue.empty() ||
+                it->second->wantWrite)
+                continue;
+            Conn &conn = *it->second;
+            flushWrites(conn);
+            if (conns_.count(fd) != 0 && conn.wantWrite)
+                updateWriteInterest(conn);
+        }
+        broadcastTouched_.clear();
         if (config_.idleTimeoutMs > 0)
             reapIdle(nowMs());
         tally.fold();
@@ -697,6 +712,7 @@ EpollServer::broadcastOutputs(Run &run)
                 queueFrame(*conn, MsgType::ProbeResult, 0, probes);
             if (conn->subscriptions & kSubscribeAssignments)
                 queueFrame(*conn, MsgType::Assignment, 0, assignment);
+            broadcastTouched_.insert(fd);
         }
     }
 }

@@ -35,6 +35,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -199,6 +200,10 @@ class EpollServer
 
     std::map<std::uint64_t, Run> runs_;
     std::map<int, std::unique_ptr<Conn>> conns_;
+
+    /** Connections a broadcast queued frames on since the last
+     *  epoll batch; flushed before the loop waits again. */
+    std::set<int> broadcastTouched_;
     std::uint64_t connSerial_ = 0;
     bool started_ = false;
     std::string lastError_;

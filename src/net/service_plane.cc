@@ -242,36 +242,28 @@ EpochOutput
 ServicePlane::makeOutput() const
 {
     EpochOutput out;
+    OnlineCounts counts;
     if (flat_) {
         const OnlineEpochStats &stats = flatReport_.epochs.back();
-        out.complete = {stats.epoch, stats.tick, stats.population,
-                        stats.admitted};
-        out.probes = {stats.epoch, stats.probes, stats.retries,
-                      stats.cfFallbacks, stats.faultsInjected};
-        out.assignment.epoch = stats.epoch;
+        counts = stats;
+        out.complete = {stats.epoch, stats.tick, stats.population, 0};
         out.assignment.pairs = flat_->pairsSnapshot();
     } else {
         const ShardEpochStats &stats = shardedReport_.epochs.back();
-        out.complete.epoch = stats.epoch;
-        out.complete.tick = stats.tick;
-        out.complete.population = stats.population;
-        out.probes.epoch = stats.epoch;
+        out.complete = {stats.epoch, stats.tick, stats.population, 0};
         for (std::size_t s = 0; s < sharded_->shards(); ++s) {
-            const OnlineEpochStats &shard =
-                shardedReport_.perShard[s].epochs.back();
-            out.complete.admitted += shard.admitted;
-            out.probes.probes += shard.probes;
-            out.probes.retries += shard.retries;
-            out.probes.cfFallbacks += shard.cfFallbacks;
-            out.probes.faultsInjected += shard.faultsInjected;
+            counts += shardedReport_.perShard[s].epochs.back();
             const auto pairs = sharded_->shard(s).pairsSnapshot();
             out.assignment.pairs.insert(out.assignment.pairs.end(),
                                         pairs.begin(), pairs.end());
         }
-        out.assignment.epoch = stats.epoch;
         std::sort(out.assignment.pairs.begin(),
                   out.assignment.pairs.end());
     }
+    out.complete.admitted = counts.admitted;
+    out.probes = {out.complete.epoch, counts.probes, counts.retries,
+                  counts.cfFallbacks, counts.faultsInjected};
+    out.assignment.epoch = out.complete.epoch;
     return out;
 }
 

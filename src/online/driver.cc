@@ -539,9 +539,7 @@ OnlineDriver::faultBoundary(OnlineEpochStats &stats)
                 for (std::size_t e = 1; e < evicted.size(); ++e)
                     departLive(evicted[e].uid);
                 ++stats.crashes;
-                ++crashes_;
                 ++stats.faultsInjected;
-                ++faultsInjected_;
                 for (const LiveJob &job : evicted)
                     urgent.push_back(PendingArrival{job.uid, job.type,
                                                     clockTick()});
@@ -558,7 +556,6 @@ OnlineDriver::faultBoundary(OnlineEpochStats &stats)
         for (const QuarantinedJob &job : released) {
             rounds_[job.uid] = job.rounds;
             ++stats.quarantineReleased;
-            ++quarantineReleased_;
             urgent.push_back(PendingArrival{
                 job.uid, static_cast<JobTypeId>(job.type), clockTick()});
         }
@@ -580,21 +577,19 @@ OnlineDriver::maybeCheckpoint(OnlineEpochStats &stats)
         epoch_ % online.checkpointEveryEpochs != 0)
         return;
     const TraceSpan span("fault.checkpoint", "fault");
-    bool failed = false;
+    // Counted after the snapshot, so a checkpoint never holds its own
+    // outcome; the epoch's record is already in totals_.
+    OnlineCounts outcome;
     if (plan_.checkpointFails(epoch_)) {
         // The write never starts; the last good checkpoint stands and
         // the epoch has already committed.
-        ++stats.faultsInjected;
-        ++faultsInjected_;
-        failed = true;
+        ++outcome.faultsInjected;
+        ++outcome.checkpointFailures;
     } else if (!sink_(snapshot())) {
-        failed = true; // real write failure, same degradation
+        ++outcome.checkpointFailures; // real write failure, same degradation
     }
-    if (failed) {
-        ++checkpointFailures_;
-        if (MetricsRegistry *metrics = obsMetrics())
-            metrics->counter("online.checkpoint_failures").add(1);
-    }
+    stats += outcome;
+    totals_ += outcome;
 }
 
 void
@@ -620,12 +615,10 @@ OnlineDriver::stepEpoch(EventQueue &queue, OnlineReport &report)
                     " outside the catalog (", catalog_->size(),
                     " types)");
             ++stats.arrivals;
-            ++totalArrivals_;
             admission_.offer(PendingArrival{event.uid, event.type,
                                             event.tick});
         } else {
             ++stats.departures;
-            ++totalDepartures_;
             if (admission_.withdraw(event.uid)) {
                 rounds_.erase(event.uid);
                 continue; // gave up waiting in the queue
@@ -656,9 +649,6 @@ OnlineDriver::stepEpoch(EventQueue &queue, OnlineReport &report)
         stats.retries += round.retries;
         stats.cfFallbacks += round.cfFallbacks;
         stats.faultsInjected += round.faults;
-        retries_ += round.retries;
-        cfFallbacks_ += round.cfFallbacks;
-        faultsInjected_ += round.faults;
 
         if (online.quarantineAfterFailures > 0 &&
             round.failedCells >= online.quarantineAfterFailures) {
@@ -669,7 +659,6 @@ OnlineDriver::stepEpoch(EventQueue &queue, OnlineReport &report)
                 // Permanently unreachable: give up for good (counted,
                 // never silently dropped).
                 ++stats.abandoned;
-                ++abandoned_;
                 rounds_.erase(arrival.uid);
             } else {
                 // The table keeps the round count while the job sits
@@ -679,17 +668,14 @@ OnlineDriver::stepEpoch(EventQueue &queue, OnlineReport &report)
                     arrival.uid, arrival.type, round.failedCells,
                     epoch_ + 1 + online.quarantineEpochs, served + 1});
                 ++stats.quarantined;
-                ++quarantined_;
             }
             continue;
         }
         ++stats.admitted;
-        ++totalAdmitted_;
         rounds_.erase(arrival.uid); // recovered: a clean round resets
         live_.push_back(LiveJob{arrival.uid, arrival.type});
     }
     stats.probes += refreshProfiles(budget);
-    totalProbes_ += stats.probes;
     stats.queueDepth = admission_.depth();
 
     // 3. Predict, build the epoch's instance, repair the carried-over
@@ -704,7 +690,6 @@ OnlineDriver::stepEpoch(EventQueue &queue, OnlineReport &report)
             // an all-zero believed matrix (pure guesswork, but the
             // epoch still commits) rather than crash the service.
             stats.cfFallbacks += n * n;
-            cfFallbacks_ += n * n;
         } else {
             const Prediction *prediction = nullptr;
             Prediction full;
@@ -744,8 +729,6 @@ OnlineDriver::stepEpoch(EventQueue &queue, OnlineReport &report)
         Rng rng = base_.substream(kPolicyStream).substream(epoch_);
         if (coalitionMode()) {
             formEpoch(instance, rng, stats);
-            totalMigrations_ += stats.migrations;
-            totalPairsBroken_ += stats.pairsBroken;
         } else {
             const Matching prev = carriedMatching();
             const RepairOutcome out =
@@ -768,11 +751,6 @@ OnlineDriver::stepEpoch(EventQueue &queue, OnlineReport &report)
                 partner_[live_[b].uid] = live_[a].uid;
             }
             stats.meanPenalty = instance.meanTruePenalty(out.matching);
-
-            totalMigrations_ += stats.migrations;
-            totalPairsBroken_ += stats.pairsBroken;
-            if (out.fullRematch)
-                ++totalFullRematches_;
         }
     } else {
         // Nobody to pair. A lone survivor of a departed pair was
@@ -789,28 +767,18 @@ OnlineDriver::stepEpoch(EventQueue &queue, OnlineReport &report)
     lastMeanPenalty_ = stats.meanPenalty;
 
     // The epoch commits now — whatever probing failed above, the
-    // matching shipped. The periodic checkpoint (and its injected
-    // failures) happens on the committed state.
+    // matching shipped. Its counts join the lifetime totals, and the
+    // periodic checkpoint (and its injected failures) happens on the
+    // committed state.
+    totals_ += stats;
     ++epoch_;
     maybeCheckpoint(stats);
     stats.quarantineSize = quarantine_.size();
 
     if (MetricsRegistry *metrics = obsMetrics()) {
         metrics->counter("online.epochs").add(1);
-        metrics->counter("online.arrivals").add(stats.arrivals);
-        metrics->counter("online.departures").add(stats.departures);
-        metrics->counter("online.admitted").add(stats.admitted);
-        metrics->counter("online.probes").add(stats.probes);
-        metrics->counter("online.migrations").add(stats.migrations);
-        metrics->counter("online.faults_injected")
-            .add(stats.faultsInjected);
-        metrics->counter("online.retries").add(stats.retries);
-        metrics->counter("online.crashes").add(stats.crashes);
-        metrics->counter("online.quarantined").add(stats.quarantined);
-        metrics->counter("online.quarantine_released")
-            .add(stats.quarantineReleased);
-        metrics->counter("online.abandoned").add(stats.abandoned);
-        metrics->counter("online.cf_fallbacks").add(stats.cfFallbacks);
+        for (const OnlineCountField &field : kOnlineCountFields)
+            metrics->counter(field.metric).add(stats.*field.member);
         metrics->gauge("online.population")
             .set(static_cast<double>(stats.population));
         metrics->gauge("online.queue_depth")
@@ -865,22 +833,22 @@ OnlineDriver::idle(const EventQueue &queue) const
 void
 OnlineDriver::finalizeReport(OnlineReport &report) const
 {
-    report.totalArrivals = totalArrivals_;
-    report.totalDepartures = totalDepartures_;
-    report.totalAdmitted = totalAdmitted_;
+    report.totalArrivals = totals_.arrivals;
+    report.totalDepartures = totals_.departures;
+    report.totalAdmitted = totals_.admitted;
     report.totalRejected = admission_.rejected();
-    report.totalProbes = totalProbes_;
-    report.totalMigrations = totalMigrations_;
-    report.totalPairsBroken = totalPairsBroken_;
-    report.totalFullRematches = totalFullRematches_;
-    report.totalFaultsInjected = faultsInjected_;
-    report.totalRetries = retries_;
-    report.totalQuarantined = quarantined_;
-    report.totalQuarantineReleased = quarantineReleased_;
-    report.totalAbandoned = abandoned_;
-    report.totalCrashes = crashes_;
-    report.totalCfFallbacks = cfFallbacks_;
-    report.totalCheckpointFailures = checkpointFailures_;
+    report.totalProbes = totals_.probes;
+    report.totalMigrations = totals_.migrations;
+    report.totalPairsBroken = totals_.pairsBroken;
+    report.totalFullRematches = totals_.fullRematch;
+    report.totalFaultsInjected = totals_.faultsInjected;
+    report.totalRetries = totals_.retries;
+    report.totalQuarantined = totals_.quarantined;
+    report.totalQuarantineReleased = totals_.quarantineReleased;
+    report.totalAbandoned = totals_.abandoned;
+    report.totalCrashes = totals_.crashes;
+    report.totalCfFallbacks = totals_.cfFallbacks;
+    report.totalCheckpointFailures = totals_.checkpointFailures;
     report.finalPopulation = live_.size();
     report.finalQuarantine = quarantine_.size();
     report.finalMeanPenalty = lastMeanPenalty_;
@@ -931,25 +899,11 @@ OnlineDriver::snapshot() const
     state.pending = admission_.snapshot();
     state.rejected = admission_.rejected();
     state.queueHighWater = admission_.highWater();
-    state.totalArrivals = totalArrivals_;
-    state.totalDepartures = totalDepartures_;
-    state.totalAdmitted = totalAdmitted_;
-    state.totalProbes = totalProbes_;
-    state.totalMigrations = totalMigrations_;
-    state.totalPairsBroken = totalPairsBroken_;
-    state.totalFullRematches = totalFullRematches_;
+    state.totals = totals_;
     state.lastMeanPenalty = lastMeanPenalty_;
     state.quarantine = quarantine_.snapshot();
     for (const auto &[uid, served] : rounds_)
         state.probeRounds.emplace_back(uid, served);
-    state.faultsInjected = faultsInjected_;
-    state.retries = retries_;
-    state.quarantined = quarantined_;
-    state.quarantineReleased = quarantineReleased_;
-    state.abandoned = abandoned_;
-    state.crashes = crashes_;
-    state.cfFallbacks = cfFallbacks_;
-    state.checkpointFailures = checkpointFailures_;
     state.faultPlan = plan_;
     state.ratings = predictor_.ratings();
     return state;
@@ -1022,13 +976,7 @@ OnlineDriver::restore(const OnlineState &state)
     fatalIf(state.clockTick != clockTick(),
             "OnlineDriver::restore: checkpoint tick ", state.clockTick,
             " does not match epoch ", epoch_, " * epochTicks");
-    totalArrivals_ = state.totalArrivals;
-    totalDepartures_ = state.totalDepartures;
-    totalAdmitted_ = state.totalAdmitted;
-    totalProbes_ = state.totalProbes;
-    totalMigrations_ = state.totalMigrations;
-    totalPairsBroken_ = state.totalPairsBroken;
-    totalFullRematches_ = state.totalFullRematches;
+    totals_ = state.totals;
     lastMeanPenalty_ = state.lastMeanPenalty;
 
     fatalIf(!(state.faultPlan == plan_),
@@ -1043,15 +991,6 @@ OnlineDriver::restore(const OnlineState &state)
                 " both quarantined and round-tracked");
         rounds_[uid] = served;
     }
-    faultsInjected_ = state.faultsInjected;
-    retries_ = state.retries;
-    quarantined_ = state.quarantined;
-    quarantineReleased_ = state.quarantineReleased;
-    abandoned_ = state.abandoned;
-    crashes_ = state.crashes;
-    cfFallbacks_ = state.cfFallbacks;
-    checkpointFailures_ = state.checkpointFailures;
-
     predictor_.reset(state.ratings);
 
     // The cached blocking state belongs to the pre-restore timeline;

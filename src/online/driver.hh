@@ -63,8 +63,8 @@
 
 namespace cooper {
 
-/** What one online epoch did. */
-struct OnlineEpochStats
+/** What one online epoch did: its counts plus per-epoch state. */
+struct OnlineEpochStats : OnlineCounts
 {
     std::uint64_t epoch = 0;
 
@@ -74,18 +74,11 @@ struct OnlineEpochStats
     /** Live jobs after this epoch's admissions and departures. */
     std::size_t population = 0;
 
-    std::size_t arrivals = 0;
-    std::size_t departures = 0;
-    std::size_t admitted = 0;
-
     /** Admission-queue depth after admitting. */
     std::size_t queueDepth = 0;
 
     /** Cumulative backpressure rejections up to this epoch. */
     std::size_t rejectedTotal = 0;
-
-    /** Probe colocations measured this epoch (admissions + refresh). */
-    std::size_t probes = 0;
 
     /** Predictor diagnostics (see IncrementalStats). */
     std::size_t dirtyCells = 0;
@@ -96,24 +89,12 @@ struct OnlineEpochStats
     /** Repair diagnostics (see RepairOutcome). */
     std::size_t blockingBefore = 0;
     std::size_t blockingAfter = 0;
-    std::size_t pairsBroken = 0;
-    bool fullRematch = false;
-
-    /** Running jobs whose co-runner changed this epoch. */
-    std::size_t migrations = 0;
 
     /** Mean true penalty over matched agents after repair. */
     double meanPenalty = 0.0;
 
-    /** Fault-plane diagnostics (all zero with the inert plan). */
-    std::size_t faultsInjected = 0;  //!< faults fired this epoch
-    std::size_t retries = 0;         //!< probe retry attempts
-    std::size_t crashes = 0;         //!< nodes crashed (victims)
-    std::size_t quarantined = 0;     //!< jobs parked this epoch
-    std::size_t quarantineReleased = 0;
-    std::size_t abandoned = 0;       //!< jobs given up on for good
-    std::size_t cfFallbacks = 0;     //!< cells skipped on probe budget
-    std::size_t quarantineSize = 0;  //!< table size after the epoch
+    /** Quarantine table size after the epoch. */
+    std::size_t quarantineSize = 0;
 };
 
 /** Everything one run() produced. */
@@ -326,7 +307,8 @@ class OnlineDriver
      *  path. */
     void faultBoundary(OnlineEpochStats &stats);
 
-    /** Periodic checkpoint (cadence, injected write failures). */
+    /** Periodic checkpoint (cadence, injected write failures); the
+     *  attempt's outcome is counted after the snapshot is taken. */
     void maybeCheckpoint(OnlineEpochStats &stats);
 
     /** Departure bookkeeping; false when the uid is not live (its
@@ -402,21 +384,10 @@ class OnlineDriver
     BlockingBounds bounds_;
 
     std::uint64_t epoch_ = 0;
-    std::size_t totalArrivals_ = 0;
-    std::size_t totalDepartures_ = 0;
-    std::size_t totalAdmitted_ = 0;
-    std::size_t totalProbes_ = 0;
-    std::size_t totalMigrations_ = 0;
-    std::size_t totalPairsBroken_ = 0;
-    std::size_t totalFullRematches_ = 0;
-    std::size_t faultsInjected_ = 0;
-    std::size_t retries_ = 0;
-    std::size_t quarantined_ = 0;
-    std::size_t quarantineReleased_ = 0;
-    std::size_t abandoned_ = 0;
-    std::size_t crashes_ = 0;
-    std::size_t cfFallbacks_ = 0;
-    std::size_t checkpointFailures_ = 0;
+
+    /** Lifetime counts: every committed epoch's record, plus each
+     *  periodic checkpoint's own outcome (see maybeCheckpoint). */
+    OnlineCounts totals_;
     double lastMeanPenalty_ = 0.0;
 };
 

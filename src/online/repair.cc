@@ -98,8 +98,6 @@ RepairingPolicy::repairImpl(const ColocationInstance &instance,
         out.repairedAgents = n;
         out.matching = policy->assign(instance, rng);
         out.blockingAfter = countAfter(out.matching);
-        if (MetricsRegistry *metrics = obsMetrics())
-            metrics->counter("online.full_rematches").add(1);
         return out;
     }
 
@@ -169,11 +167,9 @@ RepairingPolicy::repairImpl(const ColocationInstance &instance,
         out.matching.pair(free_agents[i], free_agents[j]);
     out.blockingAfter = countAfter(out.matching);
 
-    if (MetricsRegistry *metrics = obsMetrics()) {
+    if (MetricsRegistry *metrics = obsMetrics())
         metrics->counter("online.repaired_agents")
             .add(out.repairedAgents);
-        metrics->counter("online.pairs_broken").add(out.pairsBroken);
-    }
     return out;
 }
 

@@ -4,7 +4,7 @@
  *
  * Everything the driver needs to resume a run is here: the virtual
  * clock, the live population with its uid-level matching, the
- * admission queue, the lifetime counters, and the warm-start profile
+ * admission queue, the lifetime counts, and the warm-start profile
  * matrix. Nothing else is required because all randomness is derived
  * from (seed, epoch, uid) substreams — no generator ever advances
  * across epochs — and pending trace events are reconstructed from the
@@ -15,6 +15,7 @@
 #define COOPER_ONLINE_STATE_HH
 
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,82 @@
 #include "online/events.hh"
 
 namespace cooper {
+
+/**
+ * The additive counts of the online service. The driver keeps one
+ * record per epoch (OnlineEpochStats derives from it), adds each
+ * committed record to its lifetime totals, checkpoints those totals
+ * whole, and publishes every count as the metric named in
+ * kOnlineCountFields. A new count is one member plus one table row.
+ */
+struct OnlineCounts
+{
+    std::size_t arrivals = 0;
+    std::size_t departures = 0;
+    std::size_t admitted = 0;
+
+    /** Probe colocations measured (admissions + refresh). */
+    std::size_t probes = 0;
+
+    /** Running jobs whose co-runner changed. */
+    std::size_t migrations = 0;
+
+    /** Kept pairs broken under the migration budget; in coalition
+     *  mode, carried coalitions that did not survive intact. */
+    std::size_t pairsBroken = 0;
+
+    /** Full re-matches: 0 or 1 in an epoch's record. */
+    std::size_t fullRematch = 0;
+
+    /** Fault-plane counts (all zero with the inert plan). */
+    std::size_t faultsInjected = 0;  //!< faults fired
+    std::size_t retries = 0;         //!< probe retry attempts
+    std::size_t crashes = 0;         //!< nodes crashed (victims)
+    std::size_t quarantined = 0;     //!< jobs parked
+    std::size_t quarantineReleased = 0;
+    std::size_t abandoned = 0;       //!< jobs given up on for good
+    std::size_t cfFallbacks = 0;     //!< cells skipped on probe budget
+    std::size_t checkpointFailures = 0;
+
+    OnlineCounts &operator+=(const OnlineCounts &other);
+};
+
+/** One count: the metric it is published as, and its member. */
+struct OnlineCountField
+{
+    const char *metric;
+    std::size_t OnlineCounts::*member;
+};
+
+/** Every member of OnlineCounts, in declaration order. */
+inline constexpr OnlineCountField kOnlineCountFields[] = {
+    {"online.arrivals", &OnlineCounts::arrivals},
+    {"online.departures", &OnlineCounts::departures},
+    {"online.admitted", &OnlineCounts::admitted},
+    {"online.probes", &OnlineCounts::probes},
+    {"online.migrations", &OnlineCounts::migrations},
+    {"online.pairs_broken", &OnlineCounts::pairsBroken},
+    {"online.full_rematches", &OnlineCounts::fullRematch},
+    {"online.faults_injected", &OnlineCounts::faultsInjected},
+    {"online.retries", &OnlineCounts::retries},
+    {"online.crashes", &OnlineCounts::crashes},
+    {"online.quarantined", &OnlineCounts::quarantined},
+    {"online.quarantine_released", &OnlineCounts::quarantineReleased},
+    {"online.abandoned", &OnlineCounts::abandoned},
+    {"online.cf_fallbacks", &OnlineCounts::cfFallbacks},
+    {"online.checkpoint_failures", &OnlineCounts::checkpointFailures},
+};
+static_assert(sizeof(OnlineCounts) ==
+                  std::size(kOnlineCountFields) * sizeof(std::size_t),
+              "every OnlineCounts member needs a kOnlineCountFields row");
+
+inline OnlineCounts &
+OnlineCounts::operator+=(const OnlineCounts &other)
+{
+    for (const OnlineCountField &field : kOnlineCountFields)
+        this->*field.member += other.*field.member;
+    return *this;
+}
 
 /** One running job: trace identity plus its catalog type. */
 struct LiveJob
@@ -72,14 +149,8 @@ struct OnlineState
     /** Deepest the admission queue has been. */
     std::size_t queueHighWater = 0;
 
-    /** Lifetime counters (mirrored into OnlineReport totals). */
-    std::size_t totalArrivals = 0;
-    std::size_t totalDepartures = 0;
-    std::size_t totalAdmitted = 0;
-    std::size_t totalProbes = 0;
-    std::size_t totalMigrations = 0;
-    std::size_t totalPairsBroken = 0;
-    std::size_t totalFullRematches = 0;
+    /** Lifetime counts (mirrored into OnlineReport totals). */
+    OnlineCounts totals;
 
     /** Mean true penalty of the most recent epoch's matching. */
     double lastMeanPenalty = 0.0;
@@ -95,16 +166,6 @@ struct OnlineState
      * forget how close it is to abandonment.
      */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> probeRounds;
-
-    /** Lifetime fault-plane counters. */
-    std::size_t faultsInjected = 0;
-    std::size_t retries = 0;
-    std::size_t quarantined = 0;
-    std::size_t quarantineReleased = 0;
-    std::size_t abandoned = 0;
-    std::size_t crashes = 0;
-    std::size_t cfFallbacks = 0;
-    std::size_t checkpointFailures = 0;
 
     /** The fault plan the run was started with; restore refuses a
      *  mismatch (a checkpoint only replays under its own schedule). */

@@ -34,9 +34,10 @@ TEST_F(InstanceTest, OracularBelievedEqualsTruth)
     const auto instance = makeInstance(20);
     for (AgentId a = 0; a < 20; ++a)
         for (AgentId b = 0; b < 20; ++b)
-            if (a != b)
+            if (a != b) {
                 EXPECT_DOUBLE_EQ(instance.trueDisutility(a, b),
                                  instance.believedDisutility(a, b));
+            }
 }
 
 TEST_F(InstanceTest, DisutilityNearTypePenalty)
@@ -70,9 +71,10 @@ TEST_F(InstanceTest, JitterIsDeterministic)
     const auto b = makeInstance(10, 3);
     for (AgentId i = 0; i < 10; ++i)
         for (AgentId j = 0; j < 10; ++j)
-            if (i != j)
+            if (i != j) {
                 EXPECT_DOUBLE_EQ(a.trueDisutility(i, j),
                                  b.trueDisutility(i, j));
+            }
 }
 
 TEST_F(InstanceTest, BelievedPreferencesExcludeSelf)

@@ -32,6 +32,7 @@
 #ifdef __linux__
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -1071,6 +1072,53 @@ TEST(EpollServer, NeverDrainingTenantDoesNotStallItsNeighbors)
     EXPECT_FALSE(server.runServed(1));
     EXPECT_FALSE(server.runError(1).empty());
     EXPECT_EQ(plane0.summary(), expected);
+}
+
+TEST(EpollServer, BroadcastReachesASubscriberThatSendsNothing)
+{
+    const Fixture fx;
+    FrameworkConfig config;
+    config.execution.threads = 1;
+    OnlineDriver driver(fx.catalog, fx.model, config, 1);
+    net::ServicePlane plane(fx.catalog, driver);
+    net::EpollServer server(plane, net::ServerConfig{});
+
+    bool served = false;
+    std::thread serving([&] { served = server.runUntilServed(); });
+
+    // A listener handshakes and then stays silent.
+    const int listener = connectLoopback(server.port());
+    sendHello(listener, 0);
+    awaitFrame(listener, net::MsgType::HelloAck);
+
+    // The sender's arrival at tick 150 commits epoch 0.
+    const int sender = connectLoopback(server.port());
+    sendHello(sender, 0);
+    awaitFrame(sender, net::MsgType::HelloAck);
+    sendEvent(sender, arrival(0, 0, 1));
+    sendEvent(sender, arrival(1, 150, 2));
+    awaitFrame(sender, net::MsgType::EpochComplete);
+
+    // The epoch's broadcast reaches the listener without it sending
+    // anything first. (Without the flush, its Finished below is what
+    // finally delivers the frames.)
+    pollfd ready{listener, POLLIN, 0};
+    const bool reached = ::poll(&ready, 1, 2000) == 1;
+    EXPECT_TRUE(reached)
+        << "EpochComplete never reached the silent listener";
+    if (reached)
+        awaitFrame(listener, net::MsgType::EpochComplete);
+
+    sendFinished(sender, 2);
+    sendFinished(listener, 0);
+    awaitFrame(sender, net::MsgType::Bye);
+    awaitFrame(listener, net::MsgType::Bye);
+    ::close(sender);
+    ::close(listener);
+    serving.join();
+
+    EXPECT_TRUE(served) << server.lastError();
+    EXPECT_EQ(plane.eventsIngested(), 2u);
 }
 
 TEST(EpollServer, IdleConnectionIsReapedAndAbortsItsRun)

@@ -2,18 +2,25 @@
  * @file
  * Property tests for the online colocation service: trace replay is
  * deterministic at any thread count, backpressure counts every
- * rejection, the repairing policy honors its migration budget, and a
- * mid-run checkpoint/restore replays into exactly the state a
- * straight-through run reaches.
+ * rejection, the repairing policy honors its migration budget, the
+ * published online.* counters equal the summary's lifetime totals,
+ * and a mid-run checkpoint/restore (including one from a periodic
+ * checkpoint taken after a failed write) replays into exactly the
+ * state a straight-through run reaches.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "fault/plan.hh"
 #include "io/serialize.hh"
+#include "obs/obs.hh"
 #include "online/churn.hh"
 #include "online/driver.hh"
 #include "online/events.hh"
@@ -257,6 +264,184 @@ TEST(OnlineDriver, MidRunCheckpointResumesExactly)
     writeOnlineState(whole_state, whole.snapshot());
     writeOnlineState(resumed_state, resumed.snapshot());
     EXPECT_EQ(whole_state.str(), resumed_state.str());
+}
+
+/** Each lifetime total of `report` beside the counter that
+ *  publishes it. */
+std::vector<std::pair<std::string, std::size_t>>
+publishedTotals(const OnlineReport &report)
+{
+    return {
+        {"online.arrivals", report.totalArrivals},
+        {"online.departures", report.totalDepartures},
+        {"online.admitted", report.totalAdmitted},
+        {"online.probes", report.totalProbes},
+        {"online.migrations", report.totalMigrations},
+        {"online.pairs_broken", report.totalPairsBroken},
+        {"online.full_rematches", report.totalFullRematches},
+        {"online.faults_injected", report.totalFaultsInjected},
+        {"online.retries", report.totalRetries},
+        {"online.crashes", report.totalCrashes},
+        {"online.quarantined", report.totalQuarantined},
+        {"online.quarantine_released", report.totalQuarantineReleased},
+        {"online.abandoned", report.totalAbandoned},
+        {"online.cf_fallbacks", report.totalCfFallbacks},
+        {"online.checkpoint_failures", report.totalCheckpointFailures},
+    };
+}
+
+/** Replay with metrics on; require every online.* count to equal
+ *  the matching summary total. */
+OnlineReport
+expectMetricsMatchTotals(const Fixture &fx, const ChurnTrace &trace,
+                         const FrameworkConfig &config,
+                         const FaultPlan &plan, const std::string &label)
+{
+    ObsConfig obs;
+    obs.metrics = true;
+    const ObsScope scope(obs);
+    EXPECT_TRUE(scope.active());
+
+    OnlineDriver driver(fx.catalog, fx.model, config, 23);
+    driver.setFaultPlan(plan);
+    driver.setCheckpointSink([](const OnlineState &) { return true; });
+    const OnlineReport report = driver.run(trace);
+
+    std::map<std::string, std::uint64_t> counters;
+    for (const auto &[name, value] :
+         scope.session()->metrics()->snapshot().counters)
+        counters.emplace(name, value);
+    for (const auto &[name, total] : publishedTotals(report)) {
+        const auto it = counters.find(name);
+        if (it == counters.end()) {
+            ADD_FAILURE() << label << ": " << name
+                          << " not published (summary total " << total
+                          << ")";
+            continue;
+        }
+        EXPECT_EQ(it->second, total) << label << ": " << name;
+    }
+    return report;
+}
+
+TEST(OnlineDriver, MetricsEqualTheSummaryTotals)
+{
+    const Fixture fx;
+    for (const std::size_t threads : {1u, 8u}) {
+        const std::string at = " threads " + std::to_string(threads);
+
+        // (a) SMR at alpha 0 with a rematch threshold that fires.
+        FrameworkConfig rematch = repairHappyConfig();
+        rematch.execution.threads = threads;
+        rematch.execution.online.fullRematchBlockingPairs = 1;
+        const OnlineReport a = expectMetricsMatchTotals(
+            fx, makeTrace(fx.catalog, 150, 7), rematch, FaultPlan(),
+            "rematch" + at);
+        EXPECT_GT(a.totalFullRematches, 0u) << at;
+
+        // (b) A groups-shaped coalition replay at G=3.
+        ChurnConfig churn;
+        churn.arrivals = 300;
+        churn.initialJobs = 10;
+        churn.meanInterarrivalTicks = 2.0;
+        churn.meanLifetimeTicks = 40.0;
+        Rng trace_rng(7);
+        const ChurnTrace groups_trace =
+            generateChurnTrace(fx.catalog, churn, trace_rng);
+        FrameworkConfig groups;
+        groups.policy = "coalition";
+        groups.alpha = 0.02;
+        groups.execution.threads = threads;
+        groups.execution.online.groupSize = 3;
+        groups.execution.online.epochTicks = 50;
+        groups.execution.online.admitPerEpoch = 12;
+        groups.execution.online.maxQueueDepth = 0;
+        const OnlineReport b = expectMetricsMatchTotals(
+            fx, groups_trace, groups, FaultPlan(), "groups" + at);
+        EXPECT_GT(b.totalPairsBroken, 0u) << at;
+
+        // (c) SMR under crashes and failing checkpoint writes.
+        FaultSpec spec;
+        spec.seed = 2;
+        spec.probeTimeoutRate = 0.2;
+        spec.crashRatePerEpoch = 0.2;
+        spec.checkpointFailRate = 0.5;
+        FrameworkConfig faulty;
+        faulty.execution.threads = threads;
+        faulty.execution.online.checkpointEveryEpochs = 3;
+        const OnlineReport c = expectMetricsMatchTotals(
+            fx, makeTrace(fx.catalog, 200, 9), faulty, FaultPlan(spec),
+            "faults" + at);
+        EXPECT_GT(c.totalCheckpointFailures, 0u) << at;
+        EXPECT_GT(c.totalCrashes, 0u) << at;
+    }
+}
+
+TEST(OnlineDriver, RestoresFromAPeriodicCheckpointAfterAFailedWrite)
+{
+    // Checkpoints every 2 epochs; the write at epoch 4 is scripted to
+    // fail, so the first state kept after it (epoch 6) already counts
+    // one checkpoint failure. Resuming from it must land on the
+    // straight-through run's summary and checkpoint bytes, which
+    // holds only if each epoch's counts reach the lifetime totals
+    // before that epoch's checkpoint is taken.
+    const Fixture fx;
+    const ChurnTrace trace = makeTrace(fx.catalog, 150, 19);
+    ScriptedFault write_fails;
+    write_fails.epoch = 4;
+    write_fails.kind = FaultKind::CheckpointFail;
+    FaultSpec spec;
+    spec.seed = 3;
+    spec.probeTimeoutRate = 0.1;
+    spec.measurementDropRate = 0.05;
+    const FaultPlan plan(spec, {write_fails});
+
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        FrameworkConfig config;
+        config.execution.threads = threads;
+        config.execution.online.checkpointEveryEpochs = 2;
+
+        OnlineDriver whole(fx.catalog, fx.model, config, 21);
+        whole.setFaultPlan(plan);
+        std::vector<OnlineState> kept;
+        whole.setCheckpointSink([&kept](const OnlineState &state) {
+            kept.push_back(state);
+            return true;
+        });
+        const OnlineReport whole_report = whole.run(trace);
+        ASSERT_EQ(whole_report.totalCheckpointFailures, 1u);
+        ASSERT_GT(whole_report.totalFaultsInjected, 1u);
+
+        const auto after = std::find_if(
+            kept.begin(), kept.end(),
+            [](const OnlineState &state) { return state.epoch > 4; });
+        ASSERT_NE(after, kept.end());
+        EXPECT_EQ(after->epoch, 6u);
+        EXPECT_EQ(after->totals.checkpointFailures, 1u);
+
+        OnlineDriver resumed(fx.catalog, fx.model, config, 21);
+        resumed.setFaultPlan(plan);
+        resumed.setCheckpointSink([](const OnlineState &) { return true; });
+        resumed.restore(*after);
+        const OnlineReport tail_report =
+            resumed.run(trace.suffix(resumed.clockTick()));
+
+        // The straight-through summary as a run resumed at the same
+        // epoch would write it.
+        OnlineReport expected = whole_report;
+        expected.startEpoch = after->epoch;
+        expected.epochs.erase(expected.epochs.begin(),
+                              expected.epochs.begin() +
+                                  static_cast<std::ptrdiff_t>(after->epoch));
+        EXPECT_EQ(summaryOf(tail_report), summaryOf(expected))
+            << "threads " << threads;
+
+        std::ostringstream whole_state, resumed_state;
+        writeOnlineState(whole_state, whole.snapshot());
+        writeOnlineState(resumed_state, resumed.snapshot());
+        EXPECT_EQ(whole_state.str(), resumed_state.str())
+            << "threads " << threads;
+    }
 }
 
 TEST(OnlineDriver, RestoreRejectsForeignCheckpoints)

@@ -122,8 +122,9 @@ TEST_F(ProfilerTest, DeterministicPerSeed)
     for (std::size_t i = 0; i < m1.rows(); ++i)
         for (std::size_t j = 0; j < m1.cols(); ++j) {
             ASSERT_EQ(m1.known(i, j), m2.known(i, j));
-            if (m1.known(i, j))
+            if (m1.known(i, j)) {
                 EXPECT_DOUBLE_EQ(m1.at(i, j), m2.at(i, j));
+            }
         }
 }
 

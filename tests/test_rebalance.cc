@@ -70,9 +70,10 @@ TEST(Rebalancer, RespectsTheMigrationBudget)
         const RebalanceOutcome outcome =
             rebalancer.plan(hotColdFleet(), profiles);
         EXPECT_LE(outcome.moves.size(), budget);
-        if (budget == 0)
+        if (budget == 0) {
             EXPECT_DOUBLE_EQ(outcome.objectiveAfter,
                              outcome.objectiveBefore);
+        }
     }
 }
 

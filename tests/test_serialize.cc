@@ -125,13 +125,13 @@ sampleOnlineState()
     state.pending = {{7, 1, 250}, {8, 3, 260}};
     state.rejected = 2;
     state.queueHighWater = 5;
-    state.totalArrivals = 9;
-    state.totalDepartures = 4;
-    state.totalAdmitted = 6;
-    state.totalProbes = 21;
-    state.totalMigrations = 8;
-    state.totalPairsBroken = 3;
-    state.totalFullRematches = 1;
+    state.totals.arrivals = 9;
+    state.totals.departures = 4;
+    state.totals.admitted = 6;
+    state.totals.probes = 21;
+    state.totals.migrations = 8;
+    state.totals.pairsBroken = 3;
+    state.totals.fullRematch = 1;
     state.lastMeanPenalty = 0.03125;
     SparseMatrix ratings(6, 6);
     ratings.set(0, 0, 0.125);
@@ -162,8 +162,8 @@ TEST(Serialize, OnlineStateRoundTrip)
     EXPECT_EQ(back.pending[1].arrivalTick, 260u);
     EXPECT_EQ(back.rejected, 2u);
     EXPECT_EQ(back.queueHighWater, 5u);
-    EXPECT_EQ(back.totalProbes, 21u);
-    EXPECT_EQ(back.totalFullRematches, 1u);
+    EXPECT_EQ(back.totals.probes, 21u);
+    EXPECT_EQ(back.totals.fullRematch, 1u);
     EXPECT_DOUBLE_EQ(back.lastMeanPenalty, 0.03125);
     EXPECT_EQ(back.ratings.rows(), 6u);
     EXPECT_EQ(back.ratings.knownCount(), 3u);

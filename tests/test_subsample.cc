@@ -37,8 +37,9 @@ TEST(Subsample, ValuesMatchSource)
     const SparseMatrix sparse = subsampleSymmetric(full, 0.5, 1, rng);
     for (std::size_t i = 0; i < 10; ++i)
         for (std::size_t j = 0; j < 10; ++j)
-            if (sparse.known(i, j))
+            if (sparse.known(i, j)) {
                 EXPECT_DOUBLE_EQ(sparse.at(i, j), full.at(i, j));
+            }
 }
 
 TEST(Subsample, KnownnessIsSymmetric)
