@@ -18,24 +18,24 @@
  * <= G under the shared believed preferences), performance (mean true
  * penalty), egalitarian welfare (worst-off agent's true penalty), and
  * fairness (penalty-vs-demand rank correlation). The headline number
- * is blocking_ratio = coalition blocking count / SR-packed blocking
- * count: the formation should never be less stable than packed pairs,
- * so the CI floor holds it at or below 1:
+ * is g<G>.blocking_ratio = coalition blocking count / max(1, SR-packed
+ * blocking count): the formation should never be less stable than
+ * packed pairs, so the CI floor holds it at or below 1:
  *
  *   bench_coalition && bench_json --file BENCH_coalition.json \
- *       --max-blocking-ratio g3=1,g4=1
+ *       --max g3.blocking_ratio=1,g4.blocking_ratio=1
  *
  * The harness also re-runs the G >= 3 formation at 1, 2, and 8
  * threads and fails hard unless structures and Shapley shares are
  * bit-identical — the same differential the test suite holds.
  *
- * Emits BENCH_coalition.json (schema "cooper.bench_coalition.v1");
- * --tiny shrinks the population for the `ctest -L bench-smoke` run.
+ * Writes BENCH_coalition.json (bench "coalition" in the
+ * cooper.bench.v2 shape of bench_doc.hh): no phases, one row of
+ * values g<G>.* per group size; --tiny shrinks the population for the
+ * `ctest -L bench-smoke` run.
  */
 
 #include <algorithm>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "bench_doc.hh"
 #include "coalition/blocking_coalition.hh"
 #include "coalition/formation.hh"
 #include "coalition/prefs.hh"
@@ -55,20 +56,10 @@
 #include "stats/online.hh"
 #include "util/cli.hh"
 #include "util/rng.hh"
-#include "util/table.hh"
 
 namespace {
 
 using namespace cooper;
-
-/** Full-precision JSON number. */
-std::string
-jsonNum(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(17) << value;
-    return out.str();
-}
 
 /** Parse "2,3,4" into group sizes. */
 std::vector<std::size_t>
@@ -148,54 +139,35 @@ struct GroupRow
     bool identicalAcrossThreads = true;
 };
 
+/** Write one group size's row of g<G>.* values. */
 void
-writeJson(const std::string &path,
-          const std::vector<std::pair<std::string, std::string>> &workload,
-          const std::vector<GroupRow> &rows)
+addRow(bench::BenchDoc &doc, const GroupRow &row)
 {
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("cannot write " + path);
-    out << "{\n  \"schema\": \"cooper.bench_coalition.v1\",\n";
-    out << "  \"workload\": {";
-    for (std::size_t i = 0; i < workload.size(); ++i)
-        out << (i ? ", " : "") << "\"" << workload[i].first
-            << "\": " << workload[i].second;
-    out << "},\n  \"groups\": {\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const GroupRow &row = rows[i];
-        const double ratio =
-            static_cast<double>(row.blockingCoalition) /
-            static_cast<double>(std::max<std::size_t>(1, row.blockingSr));
-        out << "    \"g" << row.groupSize << "\": {"
-            << "\"group_size\": " << row.groupSize
-            << ", \"machines\": " << row.machines
-            << ", \"trials\": " << row.trials
-            << ", \"core_stable_trials\": " << row.coreStableTrials
-            << ", \"rounds_mean\": " << jsonNum(row.roundsMean)
-            << ", \"blocking_coalition\": " << row.blockingCoalition
-            << ", \"blocking_sr\": " << row.blockingSr
-            << ", \"blocking_smr\": " << row.blockingSmr
-            << ", \"blocking_ratio\": " << jsonNum(ratio)
-            << ", \"mean_penalty_coalition\": "
-            << jsonNum(row.meanCoalition.mean())
-            << ", \"mean_penalty_sr\": " << jsonNum(row.meanSr.mean())
-            << ", \"mean_penalty_smr\": " << jsonNum(row.meanSmr.mean())
-            << ", \"egalitarian_coalition\": "
-            << jsonNum(row.egalCoalition.mean())
-            << ", \"egalitarian_sr\": " << jsonNum(row.egalSr.mean())
-            << ", \"egalitarian_smr\": " << jsonNum(row.egalSmr.mean())
-            << ", \"fairness_coalition\": "
-            << jsonNum(row.fairCoalition.mean())
-            << ", \"fairness_sr\": " << jsonNum(row.fairSr.mean())
-            << ", \"fairness_smr\": " << jsonNum(row.fairSmr.mean())
-            << ", \"identical_across_threads\": "
-            << (row.identicalAcrossThreads ? "true" : "false") << "}"
-            << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    out << "  }\n}\n";
-    if (!out.flush())
-        throw std::runtime_error("failed writing " + path);
+    const std::string size = std::to_string(row.groupSize);
+    const std::string g = "g" + size + ".";
+    doc.value(g + "group_size", row.groupSize);
+    doc.value(g + "machines", row.machines);
+    doc.value(g + "trials", row.trials);
+    doc.value(g + "core_stable_trials", row.coreStableTrials);
+    doc.value(g + "rounds_mean", row.roundsMean);
+    doc.value(g + "blocking_coalition", row.blockingCoalition);
+    doc.value(g + "blocking_sr", row.blockingSr);
+    doc.value(g + "blocking_smr", row.blockingSmr);
+    doc.value(g + "blocking_ratio",
+              static_cast<double>(row.blockingCoalition) /
+                  static_cast<double>(
+                      std::max<std::size_t>(1, row.blockingSr)));
+    doc.value(g + "mean_penalty_coalition", row.meanCoalition.mean());
+    doc.value(g + "mean_penalty_sr", row.meanSr.mean());
+    doc.value(g + "mean_penalty_smr", row.meanSmr.mean());
+    doc.value(g + "egalitarian_coalition", row.egalCoalition.mean());
+    doc.value(g + "egalitarian_sr", row.egalSr.mean());
+    doc.value(g + "egalitarian_smr", row.egalSmr.mean());
+    doc.value(g + "fairness_coalition", row.fairCoalition.mean());
+    doc.value(g + "fairness_sr", row.fairSr.mean());
+    doc.value(g + "fairness_smr", row.fairSmr.mean());
+    doc.verdict(g + "identical_across_threads",
+                row.identicalAcrossThreads);
 }
 
 } // namespace
@@ -351,17 +323,14 @@ main(int argc, char **argv)
                          "machine count,\nand G = 2 reproduces the "
                          "stable-roommates pairing exactly.\n";
 
-            const std::vector<std::pair<std::string, std::string>>
-                workload{
-                    {"agents", std::to_string(agents)},
-                    {"trials", std::to_string(trials)},
-                    {"types", std::to_string(catalog.size())},
-                    {"threads", std::to_string(threads)},
-                    {"shapley_samples", std::to_string(samples)},
-                    {"tiny", tiny ? "true" : "false"},
-                };
-            writeJson(flags.get("out"), workload, rows);
-            std::cout << "\nwrote " << flags.get("out")
-                      << " (schema cooper.bench_coalition.v1)\n";
+            bench::BenchDoc doc("coalition", tiny);
+            doc.workload("agents", agents);
+            doc.workload("trials", trials);
+            doc.workload("types", catalog.size());
+            doc.workload("threads", threads);
+            doc.workload("shapley_samples", samples);
+            for (const GroupRow &row : rows)
+                addRow(doc, row);
+            doc.write(flags.get("out"));
         });
 }

@@ -4,22 +4,23 @@
  * OnlineDriver twice — once fault-free, once under a rate-based
  * FaultPlan (probe timeouts, dropped/corrupted measurements, node
  * crashes) — cross-checks that each mode is run-to-run deterministic,
- * and emits a schema-stable BENCH_faults.json (schema
- * "cooper.bench_faults.v1") that tools/bench_json validates.
+ * and writes BENCH_faults.json (bench "faults" in the cooper.bench.v2
+ * shape of bench_doc.hh) that tools/bench_json validates.
  *
- * Two phases are reported, both optimized_only (there is no
- * baseline/optimized pair here; the interesting numbers are the
- * degradation deltas in the "faults" object):
+ * Two phases are reported, both without a baseline (the interesting
+ * numbers are the degradation deltas among the values); each phase's
+ * `equal` says whether every rep of its mode reproduced the first
+ * rep's summary:
  *
  *  - clean:    whole-run wall clock of the fault-free service.
  *  - degraded: whole-run wall clock under the fault plan, including
  *              retry ladders, quarantine churn, and crash repair.
  *
- * The "faults" object carries the degraded run's lifetime fault
+ * The faults.* values carry the degraded run's lifetime fault
  * counters plus the degradation deltas a perf run cares about:
- * blocking_ratio (final blocking-pair count, degraded / clean — the
- * acceptance number, expected <= 2.0 at default sizes) and
- * throughput_ratio (epochs per second, degraded / clean).
+ * faults.blocking_ratio (final blocking-pair count, degraded / clean —
+ * the acceptance number, expected <= 2.0 at default sizes) and
+ * faults.throughput_ratio (epochs per second, degraded / clean).
  *
  * --tiny shrinks the trace for the `ctest -L bench-smoke` run:
  *
@@ -27,14 +28,13 @@
  */
 
 #include <chrono>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
+#include "bench_doc.hh"
 #include "fault/plan.hh"
 #include "online/churn.hh"
 #include "online/driver.hh"
@@ -50,17 +50,6 @@ using namespace cooper;
 
 using Clock = std::chrono::steady_clock;
 
-/** One phase row of the JSON document. */
-struct PhaseResult
-{
-    std::string name;
-    std::string mode = "optimized_only";
-    double optimizedSeconds = 0.0;
-    std::string metric = "online.epoch_seconds";
-    std::uint64_t metricCount = 0;
-    double metricSum = 0.0;
-};
-
 /** One replay of the trace: everything the phases need. */
 struct RunResult
 {
@@ -68,15 +57,6 @@ struct RunResult
     std::string summary; //!< writeOnlineSummary bytes
     double wallSeconds = 0.0;
 };
-
-/** Full-precision JSON number. */
-std::string
-jsonNum(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(17) << value;
-    return out.str();
-}
 
 /** Final epoch's post-repair blocking-pair count (0 for empty runs). */
 std::size_t
@@ -105,45 +85,6 @@ replay(const Catalog &catalog, const InterferenceModel &model,
     writeOnlineSummary(summary, out.report);
     out.summary = summary.str();
     return out;
-}
-
-void
-writeJson(const std::string &path,
-          const std::vector<std::pair<std::string, std::string>> &workload,
-          const std::vector<PhaseResult> &phases,
-          const std::vector<std::pair<std::string, std::string>> &faults)
-{
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("cannot write " + path);
-    out << "{\n  \"schema\": \"cooper.bench_faults.v1\",\n";
-    out << "  \"workload\": {";
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << workload[i].first
-            << "\": " << workload[i].second;
-    }
-    out << "},\n  \"phases\": {\n";
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-        const PhaseResult &p = phases[i];
-        out << "    \"" << p.name << "\": {"
-            << "\"mode\": \"" << p.mode << "\", "
-            << "\"baseline_seconds\": 0"
-            << ", \"optimized_seconds\": " << jsonNum(p.optimizedSeconds)
-            << ", \"speedup\": 0"
-            << ", \"identical\": true"
-            << ", \"metric\": \"" << p.metric << "\""
-            << ", \"metric_count\": " << p.metricCount
-            << ", \"metric_sum\": " << jsonNum(p.metricSum) << "}"
-            << (i + 1 < phases.size() ? "," : "") << "\n";
-    }
-    out << "  },\n  \"faults\": {";
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << faults[i].first
-            << "\": " << faults[i].second;
-    }
-    out << "}\n}\n";
-    if (!out.flush())
-        throw std::runtime_error("failed writing " + path);
 }
 
 } // namespace
@@ -215,7 +156,7 @@ main(int argc, char **argv)
             // Best-of-reps on both modes; every rep of a mode must
             // reproduce that mode's summary byte-for-byte.
             RunResult clean, degraded;
-            bool identical = true;
+            bool clean_identical = true, degraded_identical = true;
             for (int r = 0; r < reps; ++r) {
                 RunResult cln = replay(catalog, model, config, seed,
                                        trace, FaultPlan());
@@ -226,30 +167,30 @@ main(int argc, char **argv)
                     degraded = std::move(deg);
                     continue;
                 }
-                identical = identical && cln.summary == clean.summary &&
-                            deg.summary == degraded.summary;
+                clean_identical =
+                    clean_identical && cln.summary == clean.summary;
+                degraded_identical =
+                    degraded_identical && deg.summary == degraded.summary;
                 if (cln.wallSeconds < clean.wallSeconds)
                     clean = std::move(cln);
                 if (deg.wallSeconds < degraded.wallSeconds)
                     degraded = std::move(deg);
             }
 
-            std::vector<PhaseResult> phases;
+            bench::BenchDoc doc("faults", tiny);
             {
-                PhaseResult p;
+                bench::Phase p;
                 p.name = "clean";
-                p.optimizedSeconds = clean.wallSeconds;
-                p.metricCount = clean.report.epochs.size();
-                p.metricSum = clean.wallSeconds;
-                phases.push_back(std::move(p));
+                p.optimized = clean.wallSeconds;
+                p.equal = clean_identical;
+                doc.phase(std::move(p));
             }
             {
-                PhaseResult p;
+                bench::Phase p;
                 p.name = "degraded";
-                p.optimizedSeconds = degraded.wallSeconds;
-                p.metricCount = degraded.report.epochs.size();
-                p.metricSum = degraded.wallSeconds;
-                phases.push_back(std::move(p));
+                p.optimized = degraded.wallSeconds;
+                p.equal = degraded_identical;
+                doc.phase(std::move(p));
             }
 
             const OnlineReport &deg = degraded.report;
@@ -292,7 +233,7 @@ main(int argc, char **argv)
                       << ", throughput ratio "
                       << Table::num(throughput_ratio, 2) << "\n";
 
-            if (!identical)
+            if (!clean_identical || !degraded_identical)
                 throw std::runtime_error(
                     "replays of one mode produced different summaries");
             if (clean.report.totalFaultsInjected != 0)
@@ -302,40 +243,25 @@ main(int argc, char **argv)
                 throw std::runtime_error(
                     "degraded run injected no faults");
 
-            const std::vector<std::pair<std::string, std::string>>
-                workload{
-                    {"events", std::to_string(trace.size())},
-                    {"epochs",
-                     std::to_string(deg.epochs.size())},
-                    {"types", std::to_string(catalog.size())},
-                    {"arrivals", std::to_string(deg.totalArrivals)},
-                    {"threads", "1"},
-                    {"tiny", tiny ? "true" : "false"},
-                };
-            const std::vector<std::pair<std::string, std::string>>
-                faults{
-                    {"injected",
-                     std::to_string(deg.totalFaultsInjected)},
-                    {"retries", std::to_string(deg.totalRetries)},
-                    {"quarantined",
-                     std::to_string(deg.totalQuarantined)},
-                    {"quarantine_released",
-                     std::to_string(deg.totalQuarantineReleased)},
-                    {"abandoned", std::to_string(deg.totalAbandoned)},
-                    {"crashes", std::to_string(deg.totalCrashes)},
-                    {"cf_fallbacks",
-                     std::to_string(deg.totalCfFallbacks)},
-                    {"checkpoint_failures",
-                     std::to_string(deg.totalCheckpointFailures)},
-                    {"clean_blocking",
-                     std::to_string(clean_blocking)},
-                    {"degraded_blocking",
-                     std::to_string(degraded_blocking)},
-                    {"blocking_ratio", jsonNum(blocking_ratio)},
-                    {"throughput_ratio", jsonNum(throughput_ratio)},
-                };
-            writeJson(flags.get("out"), workload, phases, faults);
-            std::cout << "\nwrote " << flags.get("out")
-                      << " (schema cooper.bench_faults.v1)\n";
+            doc.workload("events", trace.size());
+            doc.workload("epochs", deg.epochs.size());
+            doc.workload("types", catalog.size());
+            doc.workload("arrivals", deg.totalArrivals);
+            doc.workload("threads", 1);
+            doc.value("faults.injected", deg.totalFaultsInjected);
+            doc.value("faults.retries", deg.totalRetries);
+            doc.value("faults.quarantined", deg.totalQuarantined);
+            doc.value("faults.quarantine_released",
+                      deg.totalQuarantineReleased);
+            doc.value("faults.abandoned", deg.totalAbandoned);
+            doc.value("faults.crashes", deg.totalCrashes);
+            doc.value("faults.cf_fallbacks", deg.totalCfFallbacks);
+            doc.value("faults.checkpoint_failures",
+                      deg.totalCheckpointFailures);
+            doc.value("faults.clean_blocking", clean_blocking);
+            doc.value("faults.degraded_blocking", degraded_blocking);
+            doc.value("faults.blocking_ratio", blocking_ratio);
+            doc.value("faults.throughput_ratio", throughput_ratio);
+            doc.write(flags.get("out"));
         });
 }

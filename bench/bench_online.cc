@@ -3,9 +3,9 @@
  * Online-service regression harness: replays the same churn trace
  * through the OnlineDriver twice — once with the warm-started
  * incremental predictor, once forcing a from-scratch re-predict every
- * epoch — cross-checks byte-identical summaries, and emits a
- * schema-stable BENCH_online.json (schema "cooper.bench_online.v1")
- * that tools/bench_json validates.
+ * epoch — cross-checks byte-identical summaries, and writes
+ * BENCH_online.json (bench "online" in the cooper.bench.v2 shape of
+ * bench_doc.hh) that tools/bench_json validates.
  *
  * Two phases are reported:
  *
@@ -16,37 +16,35 @@
  *             time spent inside the prediction step, excluding the
  *             trace replay around it.
  *  - epoch:   whole-run wall clock of the incremental service, timed
- *             for trend tracking only (optimized_only).
+ *             for trend tracking only (no baseline).
  *
- * The document also carries the incremental run's online counters
- * (migrations, pairs broken, full rematches, predict cache hits,
- * recomputed similarity pairs) so a perf run can see *why* the
- * predict phase was cheap or expensive.
+ * The document's values carry the incremental run's online counters
+ * (online.migrations, online.pairs_broken, online.full_rematches,
+ * online.predict_cache_hits, online.recomputed_pairs) so a perf run
+ * can see *why* the predict phase was cheap or expensive.
  *
  * --tiny shrinks the trace for the `ctest -L bench-smoke` run; the
- * speedup acceptance number (incremental >= 1.5x full) is meant to be
- * checked at the default sizes:
+ * acceptance ratio (incremental >= 1.5x full) is meant to be checked
+ * at the default sizes:
  *
  *   bench_online && bench_json --file BENCH_online.json \
- *       --min-speedup predict=1.5
+ *       --min predict.ratio=1.5
  */
 
 #include <chrono>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
+#include "bench_doc.hh"
 #include "obs/obs.hh"
 #include "online/churn.hh"
 #include "online/driver.hh"
 #include "sim/interference.hh"
 #include "util/cli.hh"
 #include "util/rng.hh"
-#include "util/table.hh"
 #include "workload/catalog.hh"
 
 namespace {
@@ -55,38 +53,14 @@ using namespace cooper;
 
 using Clock = std::chrono::steady_clock;
 
-/** One phase row of the JSON document. */
-struct PhaseResult
-{
-    std::string name;
-    std::string mode; //!< "baseline_vs_optimized" or "optimized_only"
-    double baselineSeconds = 0.0;
-    double optimizedSeconds = 0.0;
-    double speedup = 0.0; //!< 0 in optimized_only mode
-    bool identical = true;
-    std::string metric; //!< backing MetricsRegistry histogram
-    std::uint64_t metricCount = 0;
-    double metricSum = 0.0;
-};
-
 /** One replay of the trace: everything the phases need. */
 struct RunResult
 {
     OnlineReport report;
     std::string summary;        //!< writeOnlineSummary bytes
     double predictSeconds = 0.0; //!< online.predict_seconds sum
-    std::uint64_t predictCount = 0;
     double wallSeconds = 0.0;
 };
-
-/** Full-precision JSON number. */
-std::string
-jsonNum(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(17) << value;
-    return out.str();
-}
 
 /** Replay `trace` once; fresh driver, fresh metrics registry. */
 RunResult
@@ -115,51 +89,10 @@ replay(const Catalog &catalog, const InterferenceModel &model,
     if (metrics == nullptr)
         throw std::runtime_error("metrics session missing");
     for (const auto &[name, histogram] : metrics->snapshot().histograms) {
-        if (name == "online.predict_seconds") {
+        if (name == "online.predict_seconds")
             out.predictSeconds = histogram.sum;
-            out.predictCount = histogram.count;
-        }
     }
     return out;
-}
-
-void
-writeJson(const std::string &path,
-          const std::vector<std::pair<std::string, std::string>> &workload,
-          const std::vector<PhaseResult> &phases,
-          const std::vector<std::pair<std::string, std::size_t>> &counters)
-{
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("cannot write " + path);
-    out << "{\n  \"schema\": \"cooper.bench_online.v1\",\n";
-    out << "  \"workload\": {";
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << workload[i].first
-            << "\": " << workload[i].second;
-    }
-    out << "},\n  \"phases\": {\n";
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-        const PhaseResult &p = phases[i];
-        out << "    \"" << p.name << "\": {"
-            << "\"mode\": \"" << p.mode << "\", "
-            << "\"baseline_seconds\": " << jsonNum(p.baselineSeconds)
-            << ", \"optimized_seconds\": " << jsonNum(p.optimizedSeconds)
-            << ", \"speedup\": " << jsonNum(p.speedup)
-            << ", \"identical\": " << (p.identical ? "true" : "false")
-            << ", \"metric\": \"" << p.metric << "\""
-            << ", \"metric_count\": " << p.metricCount
-            << ", \"metric_sum\": " << jsonNum(p.metricSum) << "}"
-            << (i + 1 < phases.size() ? "," : "") << "\n";
-    }
-    out << "  },\n  \"online\": {";
-    for (std::size_t i = 0; i < counters.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << counters[i].first
-            << "\": " << counters[i].second;
-    }
-    out << "}\n}\n";
-    if (!out.flush())
-        throw std::runtime_error("failed writing " + path);
 }
 
 } // namespace
@@ -233,29 +166,21 @@ main(int argc, char **argv)
                     full = std::move(col);
             }
 
-            std::vector<PhaseResult> phases;
+            bench::BenchDoc doc("online", tiny);
             {
-                PhaseResult p;
+                bench::Phase p;
                 p.name = "predict";
-                p.mode = "baseline_vs_optimized";
-                p.baselineSeconds = full.predictSeconds;
-                p.optimizedSeconds = incremental.predictSeconds;
-                p.speedup = p.baselineSeconds / p.optimizedSeconds;
-                p.identical = identical;
-                p.metric = "online.predict_seconds";
-                p.metricCount = incremental.predictCount;
-                p.metricSum = incremental.predictSeconds;
-                phases.push_back(std::move(p));
+                p.baseline = full.predictSeconds;
+                p.optimized = incremental.predictSeconds;
+                p.equal = identical;
+                doc.phase(std::move(p));
             }
             {
-                PhaseResult p;
+                bench::Phase p;
                 p.name = "epoch";
-                p.mode = "optimized_only";
-                p.optimizedSeconds = incremental.wallSeconds;
-                p.metric = "online.epoch_seconds";
-                p.metricCount = incremental.report.epochs.size();
-                p.metricSum = incremental.wallSeconds;
-                phases.push_back(std::move(p));
+                p.optimized = incremental.wallSeconds;
+                p.equal = identical;
+                doc.phase(std::move(p));
             }
 
             const OnlineReport &report = incremental.report;
@@ -265,21 +190,7 @@ main(int argc, char **argv)
                 recomputed += e.recomputedPairs;
             }
 
-            Table table({"phase", "baseline", "optimized", "speedup",
-                         "identical"});
-            for (const PhaseResult &p : phases) {
-                const bool compared = p.mode == "baseline_vs_optimized";
-                table.addRow(
-                    {p.name,
-                     compared
-                         ? Table::num(p.baselineSeconds * 1e3, 2) + " ms"
-                         : std::string("-"),
-                     Table::num(p.optimizedSeconds * 1e3, 2) + " ms",
-                     compared ? Table::num(p.speedup, 2)
-                              : std::string("-"),
-                     p.identical ? "yes" : "NO"});
-            }
-            table.print(std::cout);
+            doc.printPhases();
             std::cout << "epochs " << report.epochs.size()
                       << ", cache hits " << cache_hits
                       << ", recomputed pairs " << recomputed << "\n";
@@ -288,25 +199,16 @@ main(int argc, char **argv)
                 throw std::runtime_error(
                     "incremental and full-predict summaries differ");
 
-            const std::vector<std::pair<std::string, std::string>>
-                workload{
-                    {"events", std::to_string(trace.size())},
-                    {"epochs", std::to_string(report.epochs.size())},
-                    {"types", std::to_string(catalog.size())},
-                    {"arrivals", std::to_string(report.totalArrivals)},
-                    {"threads", "1"},
-                    {"tiny", tiny ? "true" : "false"},
-                };
-            const std::vector<std::pair<std::string, std::size_t>>
-                counters{
-                    {"migrations", report.totalMigrations},
-                    {"pairs_broken", report.totalPairsBroken},
-                    {"full_rematches", report.totalFullRematches},
-                    {"predict_cache_hits", cache_hits},
-                    {"recomputed_pairs", recomputed},
-                };
-            writeJson(flags.get("out"), workload, phases, counters);
-            std::cout << "\nwrote " << flags.get("out")
-                      << " (schema cooper.bench_online.v1)\n";
+            doc.workload("events", trace.size());
+            doc.workload("epochs", report.epochs.size());
+            doc.workload("types", catalog.size());
+            doc.workload("arrivals", report.totalArrivals);
+            doc.workload("threads", 1);
+            doc.value("online.migrations", report.totalMigrations);
+            doc.value("online.pairs_broken", report.totalPairsBroken);
+            doc.value("online.full_rematches", report.totalFullRematches);
+            doc.value("online.predict_cache_hits", cache_hits);
+            doc.value("online.recomputed_pairs", recomputed);
+            doc.write(flags.get("out"));
         });
 }

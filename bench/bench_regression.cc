@@ -2,9 +2,9 @@
  * @file
  * Kernel regression harness: times the seed ("baseline") hot-path
  * kernels against the packed/memoized rewrites on a Table-I-derived
- * workload, cross-checks exact equality of their outputs, and emits a
- * schema-stable BENCH_kernels.json (schema "cooper.bench_kernels.v1")
- * that tools/bench_json validates.
+ * workload, cross-checks exact equality of their outputs, and writes
+ * BENCH_kernels.json (bench "kernels" in the cooper.bench.v2 shape of
+ * bench_doc.hh) that tools/bench_json validates.
  *
  * Seven phases are reported:
  *
@@ -12,7 +12,7 @@
  *                     fill
  *  - simd_similarity: the packed fill pinned to the scalar tier vs.
  *                     the widest SIMD tier this machine offers (equal
- *                     tiers on non-AVX machines: speedup ~1)
+ *                     tiers on non-AVX machines: ratio ~1)
  *  - predict:         baselinePredict vs. the neighbor-list predictor
  *  - matching:        believedPreferences + oracle roommates vs. the
  *                     DisutilityTable-backed path (conservative
@@ -24,32 +24,25 @@
  *                     quiet-epoch BlockingBounds::update (nothing
  *                     dirty, the online service's steady state)
  *  - shapley:         sampled Shapley, timed for trend tracking only
- *
- * Optimized phases run under an ObsScope, so the JSON also carries the
- * MetricsRegistry histograms behind each phase timer
- * (cf.similarity_seconds, cf.predict_pass_seconds,
- * matching.roommates_seconds, matching.blocking_seconds,
- * matching.blocking_bound_seconds, shapley.sampled_seconds).
+ *                     (no baseline)
  *
  * --tiny shrinks every dimension for the `ctest -L bench-smoke` run;
- * the speedup acceptance numbers (>= 3x similarity, >= 1.5x
- * simd_similarity, >= 2x blocking, >= 3x blocking_incremental) are
- * meant to be checked at the default sizes:
+ * the acceptance ratios (>= 3x similarity, >= 1.5x simd_similarity,
+ * >= 2x blocking, >= 3x blocking_incremental) are meant to be checked
+ * at the default sizes:
  *
- *   bench_regression && bench_json --file BENCH_kernels.json \
- *       --min-speedup similarity=3,simd_similarity=1.5,blocking=2,blocking_incremental=3
+ *   bench_regression && bench_json --file BENCH_kernels.json --min \
+ *       similarity.ratio=3,simd_similarity.ratio=1.5,blocking.ratio=2,blocking_incremental.ratio=3
  */
 
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
+#include "bench_doc.hh"
 #include "cf/item_knn.hh"
 #include "cf/knn_baseline.hh"
 #include "cf/subsample.hh"
@@ -64,12 +57,12 @@
 #include "util/cli.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
-#include "util/table.hh"
 #include "workload/catalog.hh"
 
 namespace {
 
 using namespace cooper;
+using bench::Phase;
 
 using Clock = std::chrono::steady_clock;
 
@@ -109,95 +102,6 @@ sameDense(const std::vector<std::vector<double>> &a,
         if (!sameBits(a[r], b[r]))
             return false;
     return true;
-}
-
-/** One phase row of the JSON document. */
-struct PhaseResult
-{
-    std::string name;
-    std::string mode; //!< "baseline_vs_optimized" or "optimized_only"
-    double baselineSeconds = 0.0;
-    double optimizedSeconds = 0.0;
-    double speedup = 0.0; //!< 0 in optimized_only mode
-    bool identical = true;
-    std::string metric; //!< backing MetricsRegistry histogram
-    std::uint64_t metricCount = 0;
-    double metricSum = 0.0;
-};
-
-/** Full-precision JSON number. */
-std::string
-jsonNum(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(17) << value;
-    return out.str();
-}
-
-void
-writeJson(const std::string &path,
-          const std::vector<std::pair<std::string, std::string>> &workload,
-          const std::vector<PhaseResult> &phases)
-{
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("cannot write " + path);
-    out << "{\n  \"schema\": \"cooper.bench_kernels.v1\",\n";
-    out << "  \"workload\": {";
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << workload[i].first
-            << "\": " << workload[i].second;
-    }
-    out << "},\n  \"phases\": {\n";
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-        const PhaseResult &p = phases[i];
-        out << "    \"" << p.name << "\": {"
-            << "\"mode\": \"" << p.mode << "\", "
-            << "\"baseline_seconds\": " << jsonNum(p.baselineSeconds)
-            << ", \"optimized_seconds\": " << jsonNum(p.optimizedSeconds)
-            << ", \"speedup\": " << jsonNum(p.speedup)
-            << ", \"identical\": " << (p.identical ? "true" : "false")
-            << ", \"metric\": \"" << p.metric << "\""
-            << ", \"metric_count\": " << p.metricCount
-            << ", \"metric_sum\": " << jsonNum(p.metricSum) << "}"
-            << (i + 1 < phases.size() ? "," : "") << "\n";
-    }
-    out << "  }\n}\n";
-    if (!out.flush())
-        throw std::runtime_error("failed writing " + path);
-}
-
-/** Fill metric/metricCount/metricSum from the registry snapshot. */
-void
-attachMetric(PhaseResult &phase, const MetricsSnapshot &snapshot,
-             const std::string &metric)
-{
-    phase.metric = metric;
-    for (const auto &[name, histogram] : snapshot.histograms) {
-        if (name == metric) {
-            phase.metricCount = histogram.count;
-            phase.metricSum = histogram.sum;
-            return;
-        }
-    }
-}
-
-void
-printPhases(const std::vector<PhaseResult> &phases)
-{
-    Table table({"phase", "baseline", "optimized", "speedup",
-                 "identical"});
-    for (const PhaseResult &p : phases) {
-        const bool compared = p.mode == "baseline_vs_optimized";
-        table.addRow(
-            {p.name,
-             compared ? Table::num(p.baselineSeconds * 1e3, 2) + " ms"
-                      : std::string("-"),
-             Table::num(p.optimizedSeconds * 1e3, 2) + " ms",
-             compared ? Table::num(p.speedup, 2) : std::string("-"),
-             p.identical ? "yes" : "NO"});
-    }
-    table.print(std::cout);
 }
 
 } // namespace
@@ -270,29 +174,30 @@ main(int argc, char **argv)
             ItemKnnConfig knn;
             knn.threads = kThreads;
 
-            std::vector<PhaseResult> phases;
+            bench::BenchDoc doc("kernels", tiny);
 
+            // The optimized kernels run with metrics on, as a metered
+            // service runs them: their phase timers' cost stays inside
+            // what each ratio measures.
             ObsConfig obs_config;
             obs_config.metrics = true;
             const ObsScope obs(obs_config);
 
             // --- similarity fill --------------------------------------
             {
-                PhaseResult p;
+                Phase p;
                 p.name = "similarity";
-                p.mode = "baseline_vs_optimized";
                 std::vector<std::vector<double>> base;
-                p.baselineSeconds = bestSeconds(reps, [&] {
+                p.baseline = bestSeconds(reps, [&] {
                     base = baselineSimilarityMatrix(sparse, knn);
                 });
                 SimilarityTriangle tri(0);
-                p.optimizedSeconds = bestSeconds(reps, [&] {
+                p.optimized = bestSeconds(reps, [&] {
                     tri = ItemKnnPredictor(knn).similarityTriangle(
                         sparse);
                 });
-                p.identical = sameDense(base, tri.toNested());
-                p.speedup = p.baselineSeconds / p.optimizedSeconds;
-                phases.push_back(std::move(p));
+                p.equal = sameDense(base, tri.toNested());
+                doc.phase(std::move(p));
             }
 
             // --- simd similarity fill --------------------------------
@@ -305,9 +210,8 @@ main(int argc, char **argv)
             // phase times both, exactly the per-predict similarity
             // work.
             {
-                PhaseResult p;
+                Phase p;
                 p.name = "simd_similarity";
-                p.mode = "baseline_vs_optimized";
                 const Prediction filled =
                     ItemKnnPredictor(knn).predict(sparse);
                 SparseMatrix dense_m(matrix_n, matrix_n);
@@ -316,14 +220,14 @@ main(int argc, char **argv)
                         dense_m.set(i, j, filled.dense[i][j]);
                 SimilarityTriangle s1(0), s2(0), v1(0), v2(0);
                 setSimdOverrideForTesting(SimdLevel::Scalar);
-                p.baselineSeconds = bestSeconds(reps, [&] {
+                p.baseline = bestSeconds(reps, [&] {
                     s1 = ItemKnnPredictor(knn).similarityTriangle(
                         sparse);
                     s2 = ItemKnnPredictor(knn).similarityTriangle(
                         dense_m);
                 });
                 setSimdOverrideForTesting(detectedSimdLevel());
-                p.optimizedSeconds = bestSeconds(reps, [&] {
+                p.optimized = bestSeconds(reps, [&] {
                     v1 = ItemKnnPredictor(knn).similarityTriangle(
                         sparse);
                     v2 = ItemKnnPredictor(knn).similarityTriangle(
@@ -332,47 +236,43 @@ main(int argc, char **argv)
                 setSimdOverrideForTesting(std::nullopt);
                 const std::size_t cells =
                     matrix_n > 1 ? matrix_n * (matrix_n - 1) / 2 : 0;
-                p.identical =
+                p.equal =
                     cells == 0 ||
                     (std::memcmp(s1.data(), v1.data(),
                                  cells * sizeof(double)) == 0 &&
                      std::memcmp(s2.data(), v2.data(),
                                  cells * sizeof(double)) == 0);
-                p.speedup = p.baselineSeconds / p.optimizedSeconds;
-                phases.push_back(std::move(p));
+                doc.phase(std::move(p));
             }
 
             // --- predict ---------------------------------------------
             {
-                PhaseResult p;
+                Phase p;
                 p.name = "predict";
-                p.mode = "baseline_vs_optimized";
                 Prediction base, opt;
-                p.baselineSeconds = bestSeconds(reps, [&] {
+                p.baseline = bestSeconds(reps, [&] {
                     base = baselinePredict(sparse, knn);
                 });
-                p.optimizedSeconds = bestSeconds(reps, [&] {
+                p.optimized = bestSeconds(reps, [&] {
                     opt = ItemKnnPredictor(knn).predict(sparse);
                 });
-                p.identical = sameDense(base.dense, opt.dense) &&
+                p.equal = sameDense(base.dense, opt.dense) &&
                               base.iterations == opt.iterations &&
                               base.fallbackCells == opt.fallbackCells;
-                p.speedup = p.baselineSeconds / p.optimizedSeconds;
-                phases.push_back(std::move(p));
+                doc.phase(std::move(p));
             }
 
             // --- matching --------------------------------------------
             // Baseline is the pre-table call path (believedPreferences
             // + oracle-backed roommates). It already benefits from the
-            // rank-key preference sort, so the reported speedup is the
+            // rank-key preference sort, so the reported ratio is the
             // memo table's marginal win and deliberately conservative.
             Matching matched(population);
             {
-                PhaseResult p;
+                Phase p;
                 p.name = "matching";
-                p.mode = "baseline_vs_optimized";
                 Matching base_m(population);
-                p.baselineSeconds = bestSeconds(reps, [&] {
+                p.baseline = bestSeconds(reps, [&] {
                     const PreferenceProfile prefs =
                         instance.believedPreferences();
                     base_m = adaptedRoommates(
@@ -383,7 +283,7 @@ main(int argc, char **argv)
                                  })
                                  .matching;
                 });
-                p.optimizedSeconds = bestSeconds(reps, [&] {
+                p.optimized = bestSeconds(reps, [&] {
                     const DisutilityTable table =
                         instance.believedTable(kThreads);
                     const PreferenceProfile prefs =
@@ -391,12 +291,11 @@ main(int argc, char **argv)
                             table, /*exclude_self=*/true);
                     matched = adaptedRoommates(prefs, table).matching;
                 });
-                p.identical = true;
+                p.equal = true;
                 for (AgentId a = 0; a < population; ++a)
-                    p.identical &=
+                    p.equal &=
                         base_m.partnerOf(a) == matched.partnerOf(a);
-                p.speedup = p.baselineSeconds / p.optimizedSeconds;
-                phases.push_back(std::move(p));
+                doc.phase(std::move(p));
             }
 
             // --- blocking scan ---------------------------------------
@@ -404,20 +303,19 @@ main(int argc, char **argv)
             // so the optimized scan reuses it; the baseline pays the
             // std::function oracle per cell, as the seed did.
             {
-                PhaseResult p;
+                Phase p;
                 p.name = "blocking";
-                p.mode = "baseline_vs_optimized";
                 const DisutilityFn oracle = [&](AgentId a, AgentId b) {
                     return instance.believedDisutility(a, b);
                 };
                 const DisutilityTable table =
                     instance.believedTable(kThreads);
                 std::size_t base_count = 0, opt_count = 0;
-                p.baselineSeconds = bestSeconds(reps, [&] {
+                p.baseline = bestSeconds(reps, [&] {
                     base_count = baselineCountBlockingPairs(
                         matched, oracle, alpha, kThreads);
                 });
-                p.optimizedSeconds = bestSeconds(reps, [&] {
+                p.optimized = bestSeconds(reps, [&] {
                     opt_count = countBlockingPairs(matched, table,
                                                    alpha, kThreads);
                 });
@@ -425,18 +323,17 @@ main(int argc, char **argv)
                     matched, oracle, alpha, kThreads);
                 const auto opt_pairs = findBlockingPairs(
                     matched, table, alpha, kThreads);
-                p.identical = base_count == opt_count &&
+                p.equal = base_count == opt_count &&
                               base_pairs.size() == opt_pairs.size();
                 for (std::size_t i = 0;
-                     p.identical && i < base_pairs.size(); ++i) {
-                    p.identical =
+                     p.equal && i < base_pairs.size(); ++i) {
+                    p.equal =
                         base_pairs[i].a == opt_pairs[i].a &&
                         base_pairs[i].b == opt_pairs[i].b &&
                         base_pairs[i].gainA == opt_pairs[i].gainA &&
                         base_pairs[i].gainB == opt_pairs[i].gainB;
                 }
-                p.speedup = p.baselineSeconds / p.optimizedSeconds;
-                phases.push_back(std::move(p));
+                doc.phase(std::move(p));
             }
 
             // --- incremental blocking bounds -------------------------
@@ -445,92 +342,68 @@ main(int argc, char **argv)
             // the epoch's blocking questions from its bitset while the
             // scan re-derives all O(n^2) pairs.
             {
-                PhaseResult p;
+                Phase p;
                 p.name = "blocking_incremental";
-                p.mode = "baseline_vs_optimized";
                 const DisutilityTable table =
                     instance.believedTable(kThreads);
                 BlockingBounds bounds;
                 bounds.rebuild(matched, table, alpha, kThreads);
                 std::size_t base_count = 0, opt_count = 0;
-                p.baselineSeconds = bestSeconds(reps, [&] {
+                p.baseline = bestSeconds(reps, [&] {
                     base_count = countBlockingPairs(matched, table,
                                                     alpha, kThreads);
                 });
-                p.optimizedSeconds = bestSeconds(reps, [&] {
+                p.optimized = bestSeconds(reps, [&] {
                     bounds.update(matched, table, alpha, {}, kThreads);
                     opt_count = bounds.count();
                 });
-                p.identical = base_count == opt_count;
+                p.equal = base_count == opt_count;
                 const auto scan_pairs = findBlockingPairs(
                     matched, table, alpha, kThreads);
                 const auto bound_pairs = bounds.pairs(table);
-                p.identical &= scan_pairs.size() == bound_pairs.size();
+                p.equal &= scan_pairs.size() == bound_pairs.size();
                 for (std::size_t i = 0;
-                     p.identical && i < scan_pairs.size(); ++i) {
-                    p.identical =
+                     p.equal && i < scan_pairs.size(); ++i) {
+                    p.equal =
                         scan_pairs[i].a == bound_pairs[i].a &&
                         scan_pairs[i].b == bound_pairs[i].b &&
                         scan_pairs[i].gainA == bound_pairs[i].gainA &&
                         scan_pairs[i].gainB == bound_pairs[i].gainB;
                 }
-                p.speedup = p.baselineSeconds / p.optimizedSeconds;
-                phases.push_back(std::move(p));
+                doc.phase(std::move(p));
             }
 
             // --- sampled Shapley -------------------------------------
             {
-                PhaseResult p;
+                Phase p;
                 p.name = "shapley";
-                p.mode = "optimized_only";
                 std::vector<double> interference(shapley_n, 1.0);
                 for (std::size_t i = 0; i < shapley_n; ++i)
                     interference[i] += 0.1 * static_cast<double>(i);
                 const auto v = interferenceGame(interference);
-                p.optimizedSeconds = bestSeconds(reps, [&] {
+                p.optimized = bestSeconds(reps, [&] {
                     Rng shapley_rng(42);
                     shapleySampled(shapley_n, v, samples, shapley_rng,
                                    kThreads);
                 });
-                phases.push_back(std::move(p));
+                doc.phase(std::move(p));
             }
 
-            // Attach the registry histograms behind each phase timer.
-            MetricsRegistry *metrics = obsMetrics();
-            if (metrics == nullptr)
-                throw std::runtime_error("metrics session missing");
-            const MetricsSnapshot snapshot = metrics->snapshot();
-            const char *backing[] = {
-                "cf.similarity_seconds", "cf.similarity_seconds",
-                "cf.predict_pass_seconds",
-                "matching.roommates_seconds",
-                "matching.blocking_seconds",
-                "matching.blocking_bound_seconds",
-                "shapley.sampled_seconds"};
-            for (std::size_t i = 0; i < phases.size(); ++i)
-                attachMetric(phases[i], snapshot, backing[i]);
+            doc.printPhases();
 
-            printPhases(phases);
-
-            for (const PhaseResult &p : phases)
-                if (!p.identical)
+            for (const Phase &p : doc.phases())
+                if (!p.equal)
                     throw std::runtime_error(
                         "equivalence violation in phase " + p.name);
 
-            const std::vector<std::pair<std::string, std::string>>
-                workload{
-                    {"matrix", std::to_string(matrix_n)},
-                    {"population", std::to_string(population)},
-                    {"samples", std::to_string(samples)},
-                    {"shapley_agents", std::to_string(shapley_n)},
-                    {"alpha", jsonNum(alpha)},
-                    {"density", jsonNum(density)},
-                    {"reps", std::to_string(reps)},
-                    {"threads", std::to_string(kThreads)},
-                    {"tiny", tiny ? "true" : "false"},
-                };
-            writeJson(flags.get("out"), workload, phases);
-            std::cout << "\nwrote " << flags.get("out")
-                      << " (schema cooper.bench_kernels.v1)\n";
+            doc.workload("matrix", matrix_n);
+            doc.workload("population", population);
+            doc.workload("samples", samples);
+            doc.workload("shapley_agents", shapley_n);
+            doc.workload("alpha", alpha);
+            doc.workload("density", density);
+            doc.workload("reps", reps);
+            doc.workload("threads", kThreads);
+            doc.write(flags.get("out"));
         });
 }

@@ -2,51 +2,43 @@
  * @file
  * Service-plane throughput harness: serves one churn trace over real
  * loopback TCP — the in-process load generator replaying it from N
- * concurrent connections — and emits a schema-stable BENCH_serve.json
- * (schema "cooper.bench_serve.v1") that tools/bench_json validates.
+ * concurrent connections — and writes BENCH_serve.json (bench "serve"
+ * in the cooper.bench.v2 shape of bench_doc.hh) that tools/bench_json
+ * validates.
  *
- * Three phases are reported:
+ * Two phases are reported:
  *
- *  - serve:          whole-run client wall clock of the batched
- *                    server, timed for trend tracking
- *                    (optimized_only). The document's latency object
- *                    carries this run's sustained arrivals/sec and
- *                    the p50/p99/p999 of per-message RTT and
- *                    per-epoch completion latency.
- *  - batched_decode: the same trace served by the per-message-syscall
- *                    baseline (one epoll wakeup, two reads, and one
- *                    write per frame) vs. the batched server
- *                    (drain-until-EAGAIN, single decode pass, writev
- *                    coalescing). `identical` holds both served
- *                    summaries byte-equal to the in-process
+ *  - serve:          whole-run client wall clock of the server, timed
+ *                    for trend tracking (no baseline). `equal` holds
+ *                    the served summary byte-equal to the in-process
  *                    OnlineDriver replay — the net plane must never
- *                    change a decision, only its transport cost.
+ *                    change a decision, only its transport cost. The
+ *                    latency.* values carry this run's sustained
+ *                    arrivals/sec and the p50/p99/p999 of per-message
+ *                    RTT and per-epoch completion latency.
  *  - runs_per_server: N independent replays (run r seeded seed+r)
  *                    hosted concurrently behind one epoll loop vs.
- *                    the same N runs served one at a time. The
- *                    reported "speedup" is the per-run efficiency
- *                    N*wall_1 / wall_N — 1.0 means colocating runs
- *                    costs nothing over serving them back to back,
- *                    and the acceptance floor (>= 0.5 at N = 4)
- *                    bounds the multi-run coordination overhead.
- *                    `identical` holds every concurrent run's summary
- *                    byte-equal to its solo in-process replay.
+ *                    the same N runs served one at a time. The ratio
+ *                    is the per-run efficiency N*wall_1 / wall_N —
+ *                    1.0 means colocating runs costs nothing over
+ *                    serving them back to back, and the acceptance
+ *                    floor (>= 0.5 at N = 4) bounds the multi-run
+ *                    coordination overhead. `equal` holds every
+ *                    concurrent run's summary byte-equal to its solo
+ *                    in-process replay.
  *
  * The trace shape is deliberately decode-heavy (many events per
- * epoch, small population) so the phase measures the framing hot
+ * epoch, small population) so the phases measure the framing hot
  * path, not the matching work behind it.
  *
- * --tiny shrinks the trace for the `ctest -L bench-smoke` run; the
- * speedup acceptance number (batched >= 1.1x per-message) is enforced
- * there and meant to be re-checked at the default sizes:
+ * --tiny shrinks the trace for the `ctest -L bench-smoke` run, which
+ * also enforces the runs_per_server floor:
  *
  *   bench_serve && bench_json --file BENCH_serve.json \
- *       --min-speedup batched_decode=1.1
+ *       --min runs_per_server.ratio=0.5
  */
 
 #include <chrono>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -57,6 +49,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "bench_doc.hh"
 #include "net/client.hh"
 #include "net/server.hh"
 #include "net/service_plane.hh"
@@ -66,46 +59,19 @@
 #include "sim/interference.hh"
 #include "util/cli.hh"
 #include "util/rng.hh"
-#include "util/table.hh"
 #include "workload/catalog.hh"
 
 namespace {
 
 using namespace cooper;
 
-/** One phase row of the JSON document. */
-struct PhaseResult
-{
-    std::string name;
-    std::string mode; //!< "baseline_vs_optimized" or "optimized_only"
-    double baselineSeconds = 0.0;
-    double optimizedSeconds = 0.0;
-    double speedup = 0.0; //!< 0 in optimized_only mode
-    bool identical = true;
-    std::string metric; //!< backing MetricsRegistry counter
-    std::uint64_t metricCount = 0;
-    double metricSum = 0.0;
-};
-
 /** One served replay: client-side stats plus server-side counters. */
 struct ServedRun
 {
     std::string summary; //!< the Summary bytes every client received
     net::LoadGenStats stats;
-    std::uint64_t readSyscalls = 0;
-    std::uint64_t writeSyscalls = 0;
-    std::uint64_t framesIn = 0;
     std::uint64_t epochsServed = 0;
 };
-
-/** Full-precision JSON number. */
-std::string
-jsonNum(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(17) << value;
-    return out.str();
-}
 
 std::uint64_t
 counterValue(const MetricsSnapshot &snapshot, const std::string &name)
@@ -123,8 +89,7 @@ counterValue(const MetricsSnapshot &snapshot, const std::string &name)
 ServedRun
 serveOnce(const Catalog &catalog, const InterferenceModel &model,
           const FrameworkConfig &config, std::uint64_t seed,
-          const ChurnTrace &trace, std::size_t connections,
-          bool batched)
+          const ChurnTrace &trace, std::size_t connections)
 {
     ObsConfig obs_config;
     obs_config.metrics = true;
@@ -133,9 +98,7 @@ serveOnce(const Catalog &catalog, const InterferenceModel &model,
     OnlineDriver driver(catalog, model, config, seed);
     net::ServicePlane plane(catalog, driver);
 
-    net::ServerConfig server_config;
-    server_config.batched = batched;
-    net::EpollServer server(plane, server_config);
+    net::EpollServer server(plane, net::ServerConfig{});
 
     bool served = false;
     std::thread serving([&] { served = server.runUntilServed(); });
@@ -156,15 +119,12 @@ serveOnce(const Catalog &catalog, const InterferenceModel &model,
     MetricsRegistry *metrics = obsMetrics();
     if (metrics == nullptr)
         throw std::runtime_error("metrics session missing");
-    const MetricsSnapshot snapshot = metrics->snapshot();
 
     ServedRun out;
     out.summary = result.summary;
     out.stats = result.stats;
-    out.readSyscalls = counterValue(snapshot, "net.read_syscalls");
-    out.writeSyscalls = counterValue(snapshot, "net.write_syscalls");
-    out.framesIn = counterValue(snapshot, "net.frames_in");
-    out.epochsServed = counterValue(snapshot, "net.epochs_served");
+    out.epochsServed =
+        counterValue(metrics->snapshot(), "net.epochs_served");
     return out;
 }
 
@@ -173,7 +133,6 @@ struct MultiServed
 {
     double wallSeconds = 0.0; //!< first send to last summary, overall
     bool identical = true;    //!< every summary matched its reference
-    std::uint64_t runsServed = 0;
 };
 
 /**
@@ -188,6 +147,8 @@ serveMulti(const Catalog &catalog, const InterferenceModel &model,
            std::size_t connections,
            const std::vector<std::string> &references)
 {
+    // Metrics on, as in serveOnce, so every served leg pays the same
+    // counter cost.
     ObsConfig obs_config;
     obs_config.metrics = true;
     const ObsScope obs(obs_config);
@@ -201,8 +162,7 @@ serveMulti(const Catalog &catalog, const InterferenceModel &model,
             catalog, *drivers.back()));
     }
 
-    net::ServerConfig server_config;
-    net::EpollServer server(server_config);
+    net::EpollServer server(net::ServerConfig{});
     for (std::uint64_t r = 0; r < runs; ++r)
         server.addRun(r, *planes[r]);
 
@@ -242,51 +202,7 @@ serveMulti(const Catalog &catalog, const InterferenceModel &model,
         out.identical =
             out.identical && results[r].summary == references[r];
     }
-    MetricsRegistry *metrics = obsMetrics();
-    if (metrics == nullptr)
-        throw std::runtime_error("metrics session missing");
-    out.runsServed =
-        counterValue(metrics->snapshot(), "net.runs_served");
     return out;
-}
-
-void
-writeJson(const std::string &path,
-          const std::vector<std::pair<std::string, std::string>> &workload,
-          const std::vector<PhaseResult> &phases,
-          const std::vector<std::pair<std::string, double>> &latency)
-{
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("cannot write " + path);
-    out << "{\n  \"schema\": \"cooper.bench_serve.v1\",\n";
-    out << "  \"workload\": {";
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << workload[i].first
-            << "\": " << workload[i].second;
-    }
-    out << "},\n  \"phases\": {\n";
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-        const PhaseResult &p = phases[i];
-        out << "    \"" << p.name << "\": {"
-            << "\"mode\": \"" << p.mode << "\", "
-            << "\"baseline_seconds\": " << jsonNum(p.baselineSeconds)
-            << ", \"optimized_seconds\": " << jsonNum(p.optimizedSeconds)
-            << ", \"speedup\": " << jsonNum(p.speedup)
-            << ", \"identical\": " << (p.identical ? "true" : "false")
-            << ", \"metric\": \"" << p.metric << "\""
-            << ", \"metric_count\": " << p.metricCount
-            << ", \"metric_sum\": " << jsonNum(p.metricSum) << "}"
-            << (i + 1 < phases.size() ? "," : "") << "\n";
-    }
-    out << "  },\n  \"latency\": {";
-    for (std::size_t i = 0; i < latency.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << latency[i].first
-            << "\": " << jsonNum(latency[i].second);
-    }
-    out << "}\n}\n";
-    if (!out.flush())
-        throw std::runtime_error("failed writing " + path);
 }
 
 } // namespace
@@ -315,7 +231,7 @@ main(int argc, char **argv)
         return 0;
 
     return cooper::bench::runHarness(
-        "Service plane: batched decode vs. per-message syscalls",
+        "Service plane: served throughput and multi-run hosting",
         [&] {
             const bool tiny = flags.getBool("tiny");
             const auto seed =
@@ -364,26 +280,17 @@ main(int argc, char **argv)
             }
             const std::string &reference_summary = references.front();
 
-            // Best-of-reps on both transports; every rep's served
-            // summary must match the in-process bytes.
-            ServedRun batched, permsg;
+            // Best-of-reps; every rep's served summary must match the
+            // in-process bytes.
+            ServedRun served;
             bool identical = true;
             for (int r = 0; r < reps; ++r) {
-                ServedRun fast =
-                    serveOnce(catalog, model, config, seed, trace,
-                              connections, /*batched=*/true);
-                ServedRun slow =
-                    serveOnce(catalog, model, config, seed, trace,
-                              connections, /*batched=*/false);
-                identical = identical &&
-                            fast.summary == reference_summary &&
-                            slow.summary == reference_summary;
+                ServedRun run = serveOnce(catalog, model, config, seed,
+                                          trace, connections);
+                identical = identical && run.summary == reference_summary;
                 if (r == 0 ||
-                    fast.stats.wallSeconds < batched.stats.wallSeconds)
-                    batched = std::move(fast);
-                if (r == 0 ||
-                    slow.stats.wallSeconds < permsg.stats.wallSeconds)
-                    permsg = std::move(slow);
+                    run.stats.wallSeconds < served.stats.wallSeconds)
+                    served = std::move(run);
             }
 
             // Multi-run hosting: N concurrent replays vs. the same N
@@ -408,109 +315,55 @@ main(int argc, char **argv)
             const double sequentialSeconds =
                 static_cast<double>(runs) * solo.wallSeconds;
 
-            std::vector<PhaseResult> phases;
+            bench::BenchDoc doc("serve", tiny);
             {
-                PhaseResult p;
+                bench::Phase p;
                 p.name = "serve";
-                p.mode = "optimized_only";
-                p.optimizedSeconds = batched.stats.wallSeconds;
-                p.identical = identical;
-                p.metric = "net.frames_in";
-                p.metricCount = batched.framesIn;
-                p.metricSum = static_cast<double>(batched.framesIn);
-                phases.push_back(std::move(p));
+                p.optimized = served.stats.wallSeconds;
+                p.equal = identical;
+                doc.phase(std::move(p));
             }
             {
-                PhaseResult p;
-                p.name = "batched_decode";
-                p.mode = "baseline_vs_optimized";
-                p.baselineSeconds = permsg.stats.wallSeconds;
-                p.optimizedSeconds = batched.stats.wallSeconds;
-                p.speedup = p.baselineSeconds / p.optimizedSeconds;
-                p.identical = identical;
-                p.metric = "net.read_syscalls";
-                p.metricCount = batched.readSyscalls;
-                p.metricSum =
-                    static_cast<double>(batched.readSyscalls);
-                phases.push_back(std::move(p));
-            }
-            {
-                PhaseResult p;
+                bench::Phase p;
                 p.name = "runs_per_server";
-                p.mode = "baseline_vs_optimized";
-                p.baselineSeconds = sequentialSeconds;
-                p.optimizedSeconds = multi.wallSeconds;
-                p.speedup = p.baselineSeconds / p.optimizedSeconds;
-                p.identical = multiIdentical;
-                p.metric = "net.runs_served";
-                p.metricCount = multi.runsServed;
-                p.metricSum = static_cast<double>(multi.runsServed);
-                phases.push_back(std::move(p));
+                p.baseline = sequentialSeconds;
+                p.optimized = multi.wallSeconds;
+                p.equal = multiIdentical;
+                doc.phase(std::move(p));
             }
 
-            Table table({"transport", "wall", "events/s", "reads",
-                         "writes", "identical"});
-            table.addRow(
-                {"batched",
-                 Table::num(batched.stats.wallSeconds * 1e3, 2) + " ms",
-                 Table::num(batched.stats.arrivalsPerSecond, 0),
-                 std::to_string(batched.readSyscalls),
-                 std::to_string(batched.writeSyscalls),
-                 identical ? "yes" : "NO"});
-            table.addRow(
-                {"per-message",
-                 Table::num(permsg.stats.wallSeconds * 1e3, 2) + " ms",
-                 Table::num(permsg.stats.arrivalsPerSecond, 0),
-                 std::to_string(permsg.readSyscalls),
-                 std::to_string(permsg.writeSyscalls),
-                 identical ? "yes" : "NO"});
-            table.print(std::cout);
-            std::cout << "batched_decode speedup "
-                      << Table::num(phases[1].speedup, 2) << "x over "
-                      << trace.size() << " event(s), "
-                      << batched.epochsServed << " epoch(s); rtt p99 "
-                      << Table::num(batched.stats.rttP99Ms, 3)
+            doc.printPhases();
+            std::cout << "serve: "
+                      << Table::num(served.stats.arrivalsPerSecond, 0)
+                      << " events/s over " << trace.size() << " event(s), "
+                      << served.epochsServed << " epoch(s); rtt p99 "
+                      << Table::num(served.stats.rttP99Ms, 3)
                       << " ms, epoch p99 "
-                      << Table::num(batched.stats.epochP99Ms, 3)
+                      << Table::num(served.stats.epochP99Ms, 3)
                       << " ms\n";
-            std::cout << "runs_per_server efficiency "
-                      << Table::num(phases[2].speedup, 2) << "x ("
-                      << runs << " run(s) of " << runConnections
-                      << " conn(s): "
-                      << Table::num(multi.wallSeconds * 1e3, 2)
-                      << " ms concurrent vs "
-                      << Table::num(sequentialSeconds * 1e3, 2)
-                      << " ms sequential)\n";
+            std::cout << "runs_per_server: " << runs << " run(s) of "
+                      << runConnections << " connection(s) each\n";
 
             if (!identical || !multiIdentical)
                 throw std::runtime_error(
                     "served summaries differ from the in-process "
                     "replay");
 
-            const std::vector<std::pair<std::string, std::string>>
-                workload{
-                    {"events", std::to_string(trace.size())},
-                    {"epochs", std::to_string(batched.epochsServed)},
-                    {"types", std::to_string(catalog.size())},
-                    {"arrivals",
-                     std::to_string(batched.stats.eventsSent)},
-                    {"connections", std::to_string(connections)},
-                    {"runs", std::to_string(runs)},
-                    {"threads", "1"},
-                    {"tiny", tiny ? "true" : "false"},
-                };
-            const std::vector<std::pair<std::string, double>> latency{
-                {"arrivals_per_sec",
-                 batched.stats.arrivalsPerSecond},
-                {"rtt_p50_ms", batched.stats.rttP50Ms},
-                {"rtt_p99_ms", batched.stats.rttP99Ms},
-                {"rtt_p999_ms", batched.stats.rttP999Ms},
-                {"epoch_p50_ms", batched.stats.epochP50Ms},
-                {"epoch_p99_ms", batched.stats.epochP99Ms},
-                {"epoch_p999_ms", batched.stats.epochP999Ms},
-            };
-            writeJson(flags.get("out"), workload, phases, latency);
-            std::cout << "\nwrote " << flags.get("out")
-                      << " (schema cooper.bench_serve.v1)\n";
+            doc.workload("events", trace.size());
+            doc.workload("epochs", served.epochsServed);
+            doc.workload("types", catalog.size());
+            doc.workload("arrivals", served.stats.eventsSent);
+            doc.workload("connections", connections);
+            doc.workload("runs", runs);
+            doc.workload("threads", 1);
+            doc.value("latency.arrivals_per_sec",
+                      served.stats.arrivalsPerSecond);
+            doc.value("latency.rtt_p50_ms", served.stats.rttP50Ms);
+            doc.value("latency.rtt_p99_ms", served.stats.rttP99Ms);
+            doc.value("latency.rtt_p999_ms", served.stats.rttP999Ms);
+            doc.value("latency.epoch_p50_ms", served.stats.epochP50Ms);
+            doc.value("latency.epoch_p99_ms", served.stats.epochP99Ms);
+            doc.value("latency.epoch_p999_ms", served.stats.epochP999Ms);
+            doc.write(flags.get("out"));
         });
 }

@@ -3,31 +3,30 @@
  * Sharded-fleet scaling harness: replays one churn trace through the
  * ShardedDriver at each shard count in --shard-list, cross-checks
  * that the K = 1 run matches the flat OnlineDriver byte-for-byte
- * (the same differential the test suite holds), and emits a
- * schema-stable BENCH_shard.json (schema "cooper.bench_shard.v1")
- * that tools/bench_json validates.
+ * (the same differential the test suite holds), and writes
+ * BENCH_shard.json (bench "shard" in the cooper.bench.v2 shape of
+ * bench_doc.hh) that tools/bench_json validates.
  *
  * What scales: epoch repair cost is O(population^2) per matching
  * domain, so K shards each holding ~n/K jobs do ~n^2/K work per epoch
- * in total. The speedup column is wall-clock t(K=1) / t(K) — on a
- * single core that ratio is pure work reduction; with threads it
- * compounds with concurrent shard stepping. Efficiency is
- * speedup / K, the per-shard scaling figure the CI floor guards:
+ * in total. Each K > 1 run is a phase `scale<K>` with the K = 1 wall
+ * clock as its baseline, so its ratio is the speedup t(K=1) / t(K) —
+ * on a single core that ratio is pure work reduction; with threads it
+ * compounds with concurrent shard stepping. Its `equal` holds when
+ * the K = 1 run matched the flat driver and every rep at K reproduced
+ * the first rep's summary. Each shard count also writes a row of
+ * values k<K>.*: wall clock, speedup, efficiency = speedup / K (the
+ * per-shard scaling figure the CI floor guards), the egalitarian
+ * (worst-off-agent) objective the cross-shard rebalancer optimizes —
+ * final and per-epoch mean — migrations and epochs:
  *
  *   bench_shard && bench_json --file BENCH_shard.json \
- *       --min-efficiency k2=0.5
- *
- * Each K > 1 run also reports the egalitarian (worst-off-agent)
- * objective the cross-shard rebalancer optimizes — final and
- * per-epoch mean — so a regression in rebalance quality shows up next
- * to the timing numbers.
+ *       --min k2.efficiency=0.5
  *
  * --tiny shrinks the trace for the `ctest -L bench-smoke` run.
  */
 
 #include <chrono>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -35,13 +34,13 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "bench_doc.hh"
 #include "online/churn.hh"
 #include "online/driver.hh"
 #include "shard/sharded_driver.hh"
 #include "sim/interference.hh"
 #include "util/cli.hh"
 #include "util/rng.hh"
-#include "util/table.hh"
 #include "workload/catalog.hh"
 
 namespace {
@@ -60,18 +59,10 @@ struct ScaleResult
     double egalitarianMean = 0.0; //!< mean post-rebalance objective
     std::size_t migrations = 0;
     std::size_t epochs = 0;
+    bool identical = true; //!< every rep reproduced the first's summary
     std::string summary; //!< writeShardedSummary bytes (determinism)
     std::string flatEquivalent; //!< K = 1 only: shard 0 as a flat summary
 };
-
-/** Full-precision JSON number. */
-std::string
-jsonNum(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(17) << value;
-    return out.str();
-}
 
 /** Parse "1,2,4" into shard counts. */
 std::vector<std::size_t>
@@ -129,70 +120,11 @@ replay(const Catalog &catalog, const InterferenceModel &model,
                 out.flatEquivalent = flat.str();
             }
         } else {
-            if (summary.str() != out.summary)
-                throw std::runtime_error(
-                    "sharded replay diverged across repetitions at K=" +
-                    std::to_string(k));
+            out.identical = out.identical && summary.str() == out.summary;
             out.wallSeconds = std::min(out.wallSeconds, elapsed.count());
         }
     }
     return out;
-}
-
-void
-writeJson(const std::string &path,
-          const std::vector<std::pair<std::string, std::string>> &workload,
-          const std::vector<ScaleResult> &runs, double baselineSeconds)
-{
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("cannot write " + path);
-    out << "{\n  \"schema\": \"cooper.bench_shard.v1\",\n";
-    out << "  \"workload\": {";
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << workload[i].first
-            << "\": " << workload[i].second;
-    }
-    out << "},\n  \"phases\": {\n";
-    bool first = true;
-    for (const ScaleResult &run : runs) {
-        if (run.requestedShards <= 1)
-            continue;
-        if (!first)
-            out << ",\n";
-        first = false;
-        const double speedup = baselineSeconds / run.wallSeconds;
-        out << "    \"scale" << run.requestedShards << "\": {"
-            << "\"mode\": \"optimized_only\", "
-            << "\"baseline_seconds\": " << jsonNum(baselineSeconds)
-            << ", \"optimized_seconds\": " << jsonNum(run.wallSeconds)
-            << ", \"speedup\": " << jsonNum(speedup)
-            << ", \"identical\": true"
-            << ", \"metric\": \"shard.epoch_seconds\""
-            << ", \"metric_count\": " << run.epochs
-            << ", \"metric_sum\": " << jsonNum(run.wallSeconds) << "}";
-    }
-    out << "\n  },\n  \"shards\": {\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const ScaleResult &run = runs[i];
-        const double speedup = baselineSeconds / run.wallSeconds;
-        const double efficiency =
-            speedup / static_cast<double>(run.requestedShards);
-        out << "    \"k" << run.requestedShards << "\": {"
-            << "\"shards\": " << run.effectiveShards
-            << ", \"wall_seconds\": " << jsonNum(run.wallSeconds)
-            << ", \"speedup\": " << jsonNum(speedup)
-            << ", \"efficiency\": " << jsonNum(efficiency)
-            << ", \"egalitarian_final\": "
-            << jsonNum(run.egalitarianFinal)
-            << ", \"egalitarian_mean\": " << jsonNum(run.egalitarianMean)
-            << ", \"migrations\": " << run.migrations
-            << ", \"epochs\": " << run.epochs << "}"
-            << (i + 1 < runs.size() ? "," : "") << "\n";
-    }
-    out << "  }\n}\n";
-    if (!out.flush())
-        throw std::runtime_error("failed writing " + path);
 }
 
 } // namespace
@@ -268,6 +200,7 @@ main(int argc, char **argv)
             // Differential guard: the K = 1 sharded run must match the
             // flat driver byte-for-byte, or every speedup below is
             // measured against the wrong baseline.
+            bool flat_identical = false;
             {
                 FrameworkConfig flat_config = config;
                 flat_config.execution.online.shards = 1;
@@ -275,43 +208,62 @@ main(int argc, char **argv)
                 const OnlineReport report = flat.run(trace);
                 std::ostringstream summary;
                 writeOnlineSummary(summary, report);
-                if (summary.str() != runs.front().flatEquivalent)
-                    throw std::runtime_error(
-                        "K=1 sharded summary differs from the flat "
-                        "OnlineDriver");
+                flat_identical =
+                    summary.str() == runs.front().flatEquivalent;
             }
 
+            bench::BenchDoc doc("shard", tiny);
             const double baseline = runs.front().wallSeconds;
             Table table({"shards", "wall", "speedup", "efficiency",
                          "egal(final)", "migrations"});
             for (const ScaleResult &run : runs) {
                 const double speedup = baseline / run.wallSeconds;
-                table.addRow(
-                    {std::to_string(run.requestedShards),
-                     Table::num(run.wallSeconds * 1e3, 2) + " ms",
-                     Table::num(speedup, 2),
-                     Table::num(speedup / static_cast<double>(
-                                              run.requestedShards),
-                                2),
-                     Table::num(run.egalitarianFinal, 4),
-                     std::to_string(run.migrations)});
+                const double efficiency =
+                    speedup / static_cast<double>(run.requestedShards);
+                const std::string k = std::to_string(run.requestedShards);
+                const std::string row = "k" + k;
+                doc.value(row + ".shards", run.effectiveShards);
+                doc.value(row + ".wall_seconds", run.wallSeconds);
+                doc.value(row + ".speedup", speedup);
+                doc.value(row + ".efficiency", efficiency);
+                doc.value(row + ".egalitarian_final",
+                          run.egalitarianFinal);
+                doc.value(row + ".egalitarian_mean", run.egalitarianMean);
+                doc.value(row + ".migrations", run.migrations);
+                doc.value(row + ".epochs", run.epochs);
+                if (run.requestedShards > 1) {
+                    bench::Phase p;
+                    p.name = "scale" + k;
+                    p.baseline = baseline;
+                    p.optimized = run.wallSeconds;
+                    p.equal = flat_identical && run.identical;
+                    doc.phase(std::move(p));
+                }
+                table.addRow({std::to_string(run.requestedShards),
+                              Table::num(run.wallSeconds * 1e3, 2) + " ms",
+                              Table::num(speedup, 2),
+                              Table::num(efficiency, 2),
+                              Table::num(run.egalitarianFinal, 4),
+                              std::to_string(run.migrations)});
             }
             table.print(std::cout);
 
-            const std::vector<std::pair<std::string, std::string>>
-                workload{
-                    {"events", std::to_string(trace.size())},
-                    {"arrivals", std::to_string(churn.arrivals)},
-                    {"types", std::to_string(catalog.size())},
-                    {"threads",
-                     std::to_string(config.execution.threads)},
-                    {"rebalance_budget",
-                     std::to_string(config.execution.online
-                                        .rebalanceBudgetPerEpoch)},
-                    {"tiny", tiny ? "true" : "false"},
-                };
-            writeJson(flags.get("out"), workload, runs, baseline);
-            std::cout << "\nwrote " << flags.get("out")
-                      << " (schema cooper.bench_shard.v1)\n";
+            if (!flat_identical)
+                throw std::runtime_error(
+                    "K=1 sharded summary differs from the flat "
+                    "OnlineDriver");
+            for (const ScaleResult &run : runs)
+                if (!run.identical)
+                    throw std::runtime_error(
+                        "sharded replay diverged across repetitions at "
+                        "K=" + std::to_string(run.requestedShards));
+
+            doc.workload("events", trace.size());
+            doc.workload("arrivals", churn.arrivals);
+            doc.workload("types", catalog.size());
+            doc.workload("threads", config.execution.threads);
+            doc.workload("rebalance_budget",
+                     config.execution.online.rebalanceBudgetPerEpoch);
+            doc.write(flags.get("out"));
         });
 }

@@ -23,6 +23,12 @@ namespace {
 /** Iovec spans coalesced per writev() call. */
 constexpr std::size_t kMaxIov = 64;
 
+/** Bytes read per read() of the drain loop. */
+constexpr std::size_t kReadChunk = 64 * 1024;
+
+/** Summary frames are chunked to this payload size. */
+constexpr std::size_t kSummaryChunk = 64 * 1024;
+
 /** Per-drain syscall/byte tallies, folded into obs counters once. */
 struct DrainTally
 {
@@ -399,9 +405,7 @@ EpollServer::readReady(Conn &conn)
     const int fd = conn.fd;
     if (config_.idleTimeoutMs > 0)
         conn.lastActivityMs = nowMs();
-    const bool alive = config_.batched ? drainBatched(conn)
-                                       : drainPerMessage(conn);
-    if (!alive || conns_.count(fd) == 0)
+    if (!drainBatched(conn) || conns_.count(fd) == 0)
         return; // connection already closed
     flushWrites(conn);
     const auto it = conns_.find(fd);
@@ -416,9 +420,9 @@ EpollServer::drainBatched(Conn &conn)
     bool eof = false;
     while (true) {
         const std::size_t base = conn.rbuf.size();
-        conn.rbuf.resize(base + config_.readChunk);
-        const ssize_t r = ::read(conn.fd, conn.rbuf.data() + base,
-                                 config_.readChunk);
+        conn.rbuf.resize(base + kReadChunk);
+        const ssize_t r =
+            ::read(conn.fd, conn.rbuf.data() + base, kReadChunk);
         if (r > 0) {
             conn.rbuf.resize(base + static_cast<std::size_t>(r));
             ++tally.reads;
@@ -438,7 +442,7 @@ EpollServer::drainBatched(Conn &conn)
         break;
     }
 
-    if (!processBuffered(conn, false))
+    if (!processBuffered(conn))
         return false;
 
     if (eof) {
@@ -455,54 +459,7 @@ EpollServer::drainBatched(Conn &conn)
 }
 
 bool
-EpollServer::drainPerMessage(Conn &conn)
-{
-    // The deliberately naive baseline: one recv per header/payload
-    // step, at most one frame processed per wakeup, one write() per
-    // queued response. Level-triggered epoll re-arms for the rest.
-    while (true) {
-        std::size_t need = kHeaderSize;
-        if (conn.rbuf.size() >= kHeaderSize) {
-            const std::uint32_t length =
-                static_cast<std::uint32_t>(conn.rbuf[8]) |
-                static_cast<std::uint32_t>(conn.rbuf[9]) << 8 |
-                static_cast<std::uint32_t>(conn.rbuf[10]) << 16 |
-                static_cast<std::uint32_t>(conn.rbuf[11]) << 24;
-            if (length > kMaxFramePayload)
-                return processBuffered(conn, true); // reject via codec
-            need = kHeaderSize + length;
-        }
-        if (conn.rbuf.size() >= need)
-            return processBuffered(conn, true);
-
-        const std::size_t base = conn.rbuf.size();
-        conn.rbuf.resize(need);
-        const ssize_t r =
-            ::read(conn.fd, conn.rbuf.data() + base, need - base);
-        conn.rbuf.resize(base +
-                         (r > 0 ? static_cast<std::size_t>(r) : 0));
-        if (r > 0) {
-            ++tally.reads;
-            tally.bytesIn += static_cast<std::uint64_t>(r);
-            continue;
-        }
-        if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            return true;
-        if (r < 0 && errno == EINTR)
-            continue;
-        const int fd = conn.fd;
-        if (!conn.rbuf.empty()) {
-            if (MetricsRegistry *metrics = obsMetrics())
-                metrics->counter("net.dirty_disconnects").add(1);
-        }
-        onAbandonedEof(conn);
-        closeConn(fd);
-        return false;
-    }
-}
-
-bool
-EpollServer::processBuffered(Conn &conn, bool single)
+EpollServer::processBuffered(Conn &conn)
 {
     const int fd = conn.fd;
     std::size_t offset = 0;
@@ -530,8 +487,6 @@ EpollServer::processBuffered(Conn &conn, bool single)
         keep = handleFrame(conn, frame);
         if (conns_.count(fd) == 0)
             return false; // closed underneath us (e.g. after Bye)
-        if (single)
-            break;
     }
     // One compaction per drain pass, after the batch decode.
     if (offset > 0)
@@ -764,7 +719,7 @@ EpollServer::queueSummaryAndBye(Run &run)
         std::size_t offset = 0;
         do {
             const std::size_t chunk = std::min(
-                config_.summaryChunk, summary.size() - offset);
+                kSummaryChunk, summary.size() - offset);
             const bool last = offset + chunk >= summary.size();
             std::vector<std::uint8_t> buf;
             encodeFrame(buf, MsgType::Summary,
@@ -801,28 +756,21 @@ void
 EpollServer::flushWrites(Conn &conn)
 {
     while (!conn.wqueue.empty()) {
-        ssize_t written = 0;
-        if (config_.batched) {
-            // Coalesce queued frames into one writev.
-            iovec iov[kMaxIov];
-            std::size_t niov = 0;
-            std::size_t front = conn.wfront;
-            for (const auto &buf : conn.wqueue) {
-                if (niov == kMaxIov)
-                    break;
-                iov[niov].iov_base =
-                    const_cast<std::uint8_t *>(buf.data()) + front;
-                iov[niov].iov_len = buf.size() - front;
-                ++niov;
-                front = 0;
-            }
-            written = ::writev(conn.fd, iov,
-                               static_cast<int>(niov));
-        } else {
-            const auto &buf = conn.wqueue.front();
-            written = ::write(conn.fd, buf.data() + conn.wfront,
-                              buf.size() - conn.wfront);
+        // Coalesce queued frames into one writev.
+        iovec iov[kMaxIov];
+        std::size_t niov = 0;
+        std::size_t front = conn.wfront;
+        for (const auto &buf : conn.wqueue) {
+            if (niov == kMaxIov)
+                break;
+            iov[niov].iov_base =
+                const_cast<std::uint8_t *>(buf.data()) + front;
+            iov[niov].iov_len = buf.size() - front;
+            ++niov;
+            front = 0;
         }
+        const ssize_t written =
+            ::writev(conn.fd, iov, static_cast<int>(niov));
         if (written < 0) {
             if (errno == EAGAIN || errno == EWOULDBLOCK) {
                 conn.wantWrite = true;
@@ -927,8 +875,7 @@ EpollServer::runError(std::uint64_t) const
 void EpollServer::acceptReady() {}
 void EpollServer::readReady(Conn &) {}
 bool EpollServer::drainBatched(Conn &) { return false; }
-bool EpollServer::drainPerMessage(Conn &) { return false; }
-bool EpollServer::processBuffered(Conn &, bool) { return false; }
+bool EpollServer::processBuffered(Conn &) { return false; }
 bool EpollServer::handleFrame(Conn &, const FrameView &)
 {
     return false;

@@ -7,10 +7,7 @@
  * the connection buffer, decodes every complete frame in a single
  * zero-copy pass (FrameViews point into the buffer; the undecoded
  * tail is compacted once per drain), and responses are coalesced into
- * writev() batches. `ServerConfig::batched = false` selects the
- * deliberately naive baseline — one frame per read, one write() per
- * response — which bench_serve contrasts against the batched path for
- * the syscall-batching speedup phase.
+ * writev() batches.
  *
  * One server hosts a table of runs: each run is an independent
  * (trace, seed, config) replay with its own ServicePlane and driver,
@@ -50,16 +47,6 @@ struct ServerConfig
 
     /** Listen port; 0 binds an ephemeral port (see port()). */
     std::uint16_t port = 0;
-
-    /** Batched drain + writev coalescing (the optimized path); false
-     *  selects the per-message-syscall baseline. */
-    bool batched = true;
-
-    /** Read chunk size for the batched drain. */
-    std::size_t readChunk = 64 * 1024;
-
-    /** Summary frames are chunked to this payload size. */
-    std::size_t summaryChunk = 64 * 1024;
 
     /** Per-connection bound on parked out-of-order events before the
      *  server answers Busy instead of growing the reorder buffer.
@@ -159,12 +146,10 @@ class EpollServer
     void acceptReady();
     void readReady(Conn &conn);
     bool drainBatched(Conn &conn);
-    bool drainPerMessage(Conn &conn);
 
-    /** Decode and dispatch every complete frame in conn.rbuf; at most
-     *  one frame when `single`. Returns false when the connection
-     *  must close. */
-    bool processBuffered(Conn &conn, bool single);
+    /** Decode and dispatch every complete frame in conn.rbuf. Returns
+     *  false when the connection must close. */
+    bool processBuffered(Conn &conn);
     bool handleFrame(Conn &conn, const FrameView &frame);
 
     void queueFrame(Conn &conn, MsgType type, std::uint16_t flags,

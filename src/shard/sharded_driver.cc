@@ -171,7 +171,11 @@ ShardedDriver::maybeCheckpoint()
         epoch_ % online.checkpointEveryEpochs != 0)
         return;
     const TraceSpan span("shard.checkpoint", "shard");
-    if (!sink_(snapshot()))
+    // Every shard holds the same plan; an injected failure skips the
+    // write exactly as a failing sink does, and the last good
+    // checkpoint stands.
+    if (drivers_.front()->faultPlan().checkpointFails(epoch_) ||
+        !sink_(snapshot()))
         if (MetricsRegistry *metrics = obsMetrics())
             metrics->counter("shard.checkpoint_failures").add(1);
 }

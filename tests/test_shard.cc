@@ -11,7 +11,8 @@
  * must be byte-identical at any thread count and shard count, no job
  * may be lost across shard boundaries, and the per-epoch rebalance
  * stats must honor the migration budget with a monotone
- * non-increasing egalitarian objective.
+ * non-increasing egalitarian objective. Periodic fleet checkpoints
+ * honor the fault plan's checkpoint failures as the flat driver's do.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/plan.hh"
 #include "io/serialize.hh"
 #include "obs/obs.hh"
 #include "online/churn.hh"
@@ -367,6 +369,95 @@ TEST(ShardedDriver, MidRunRestoreReachesTheStraightThroughState)
 
     EXPECT_EQ(checkpointOf(resumed.snapshot()),
               checkpointOf(straight.snapshot()));
+}
+
+TEST(ShardedDriver, CheckpointsHonorThePlansCheckpointFailures)
+{
+    const Fixture fx;
+    const ChurnTrace trace = makeTrace(fx.catalog, 200, 12);
+
+    FaultSpec spec;
+    spec.seed = 1;
+    spec.checkpointFailRate = 0.5;
+    ScriptedFault fail;
+    fail.epoch = 6;
+    fail.kind = FaultKind::CheckpointFail;
+    const FaultPlan plan(spec, {fail});
+
+    FrameworkConfig config;
+    config.execution.online.checkpointEveryEpochs = 3;
+
+    // K = 1: the fleet sink sees exactly the flat driver's writes.
+    std::vector<std::uint64_t> flat_epochs, fleet_epochs;
+    OnlineDriver flat(fx.catalog, fx.model, config, 51);
+    flat.setFaultPlan(plan);
+    flat.setCheckpointSink([&](const OnlineState &state) {
+        flat_epochs.push_back(state.epoch);
+        return true;
+    });
+    flat.run(trace);
+    config.execution.online.shards = 1;
+    ShardedDriver single(fx.catalog, fx.model, config, 51);
+    single.setFaultPlan(plan);
+    single.setCheckpointSink([&](const ShardedState &state) {
+        fleet_epochs.push_back(state.epoch);
+        return true;
+    });
+    single.run(trace);
+    EXPECT_EQ(fleet_epochs, flat_epochs);
+    EXPECT_EQ(std::count(flat_epochs.begin(), flat_epochs.end(), 6u), 0);
+
+    config.execution.online.shards = 4;
+    for (const std::size_t threads : {1u, 8u}) {
+        config.execution.threads = threads;
+        ObsConfig obs_config;
+        obs_config.metrics = true;
+        const ObsScope obs(obs_config);
+
+        ShardedDriver whole(fx.catalog, fx.model, config, 53);
+        whole.setFaultPlan(plan);
+        std::vector<ShardedState> kept;
+        whole.setCheckpointSink([&](const ShardedState &state) {
+            kept.push_back(state);
+            return true;
+        });
+        const ShardedReport whole_report = whole.run(trace);
+
+        // Every skipped cadence epoch is one counted failure.
+        std::uint64_t skipped = 0, cadence = 0;
+        for (std::uint64_t e = 3; e <= whole.epoch(); e += 3) {
+            ++cadence;
+            skipped += plan.checkpointFails(e) ? 1 : 0;
+        }
+        ASSERT_GT(skipped, 1u);
+        ASSERT_FALSE(kept.empty());
+        EXPECT_EQ(kept.size() + skipped, cadence);
+        std::uint64_t failures = 0;
+        for (const auto &[name, value] : obsMetrics()->snapshot().counters)
+            if (name == "shard.checkpoint_failures")
+                failures = value;
+        EXPECT_EQ(failures, skipped) << "threads " << threads;
+        for (const ShardedState &state : kept)
+            EXPECT_FALSE(plan.checkpointFails(state.epoch));
+
+        // Resume from the last kept checkpoint and drain the rest.
+        const ShardedState &last = kept.back();
+        ShardedDriver resumed(fx.catalog, fx.model, config, 53);
+        resumed.setFaultPlan(plan);
+        resumed.restore(last);
+        const ShardedReport tail_report =
+            resumed.run(trace.suffix(resumed.clockTick()));
+
+        ShardedReport expected = whole_report;
+        expected.epochs.erase(expected.epochs.begin(),
+                              expected.epochs.begin() +
+                                  static_cast<std::ptrdiff_t>(last.epoch));
+        EXPECT_EQ(summaryOf(tail_report), summaryOf(expected))
+            << "threads " << threads;
+        EXPECT_EQ(checkpointOf(resumed.snapshot()),
+                  checkpointOf(whole.snapshot()))
+            << "threads " << threads;
+    }
 }
 
 TEST(ShardedDriver, RestoreRefusesForeignCheckpoints)

@@ -1,71 +1,50 @@
 /**
  * @file
- * bench_json — python-free validation of the bench JSON documents.
+ * bench_json — python-free validation of the bench documents.
  *
- * Parses a document with the in-tree JSON reader and dispatches on its
- * "schema" field:
+ * Every in-process bench harness writes one shape, schema
+ * "cooper.bench.v2" (bench/bench_doc.hh):
  *
- *  - "cooper.bench_kernels.v1" (bench_regression): a workload object
- *    with the run's dimensions, and a phases object holding the seven
- *    kernel phases;
- *  - "cooper.bench_online.v1" (bench_online): the online-service
- *    workload shape, a phases object with the warm-started `predict`
- *    comparison and the `epoch` throughput, and an online counters
- *    object;
- *  - "cooper.bench_faults.v1" (bench_faults): the online workload
- *    shape, `clean` and `degraded` throughput phases, and a faults
- *    object with the injected-fault counters and the degradation
- *    ratios (blocking_ratio, throughput_ratio);
- *  - "cooper.bench_shard.v1" (bench_shard): the sharded workload
- *    shape, one `scale<K>` phase per shard count above one, and a
- *    shards object with at least two per-shard-count rows (wall
- *    clock, speedup, efficiency = speedup/K, egalitarian objective,
- *    migrations);
- *  - "cooper.bench_serve.v1" (bench_serve): the served workload
- *    shape, the `serve` throughput, `batched_decode` comparison, and
- *    `runs_per_server` multi-run-efficiency phases, and a latency
- *    object with the sustained arrival rate and the client-observed
- *    RTT / epoch-completion tails;
- *  - "cooper.bench_coalition.v1" (bench_coalition): the coalition
- *    workload shape and a groups object with one row per group size
- *    (blocking counts for the formation and the packed SR/SMR
- *    baselines, blocking_ratio, welfare and fairness columns, and the
- *    identical_across_threads determinism verdict, which must be
- *    true).
+ *   { "schema": "cooper.bench.v2", "bench": "shard",
+ *     "workload": {"events": 184, ..., "tiny": true},
+ *     "phases": {"scale2": {"baseline": 0.01, "optimized": 0.02,
+ *                           "ratio": 0.5, "equal": true}},
+ *     "values": {"k1.shards": 1, "k2.efficiency": 0.25, ...} }
+ *
+ * One walker checks every document against its bench's row of one
+ * gate table (kBenches):
+ *
+ *  - the row's workload sizes are numbers and `tiny` is a boolean;
+ *  - the row's phases are present, every phase has non-negative
+ *    baseline and optimized seconds and `equal` true, and a phase with
+ *    a baseline has a positive ratio;
+ *  - every gated value is present and inside its bound. A gate named
+ *    "*.<field>" applies to each row of the bench's row family —
+ *    shard counts k<K>, group sizes g<G> — and the document must hold
+ *    at least the row's minimum number of rows.
  *
  * Empty, truncated, or otherwise corrupt documents are hard failures
  * (exit 1) — a bench run that crashed mid-write must not validate.
  *
- * Every phase carries mode / baseline_seconds / optimized_seconds /
- * speedup / identical / metric fields; phases in baseline_vs_optimized
- * mode must report identical == true (the equivalence gate) and a
- * positive speedup.
- *
- * --min-speedup takes phase=value pairs so a perf run can enforce the
- * acceptance numbers. Every floor is checked before the verdict: a
- * failing run reports ALL offending phases, each with its measured
- * value against the required one, so one fix-and-rerun cycle sees the
- * whole damage:
+ * Floors: --min and --max take comma-separated field=bound pairs. A
+ * field is a value's name or <phase>.<baseline|optimized|ratio>:
  *
  *   bench_json --file BENCH_kernels.json \
- *       --min-speedup similarity=3,blocking=2
- *   bench_json --file BENCH_online.json --min-speedup predict=1.5
- *
- * --min-efficiency does the same for the shard document's per-count
- * scaling efficiency:
- *
- *   bench_json --file BENCH_shard.json --min-efficiency k2=0.5
- *
- * --max-blocking-ratio is the coalition document's stability ceiling:
- * the formation's blocking-coalition count relative to the packed
- * stable-roommates baseline at the same capacity must not exceed the
- * bound (1 = "never less stable than packed pairs"):
- *
+ *       --min similarity.ratio=3,blocking.ratio=2
+ *   bench_json --file BENCH_shard.json --min k2.efficiency=0.5
  *   bench_json --file BENCH_coalition.json \
- *       --max-blocking-ratio g3=1,g4=1
+ *       --max g3.blocking_ratio=1,g4.blocking_ratio=1
+ *
+ * Every floor is checked before the verdict: a failing run reports
+ * all offenders, each with its measured value against the bound, so
+ * one fix-and-rerun cycle sees the whole damage. A floor naming a
+ * field the document lacks fails too.
  */
 
+#include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -78,73 +57,119 @@ namespace {
 
 using namespace cooper;
 
-constexpr const char *kKernelsSchema = "cooper.bench_kernels.v1";
-constexpr const char *kOnlineSchema = "cooper.bench_online.v1";
-constexpr const char *kFaultsSchema = "cooper.bench_faults.v1";
-constexpr const char *kShardSchema = "cooper.bench_shard.v1";
-constexpr const char *kServeSchema = "cooper.bench_serve.v1";
-constexpr const char *kCoalitionSchema = "cooper.bench_coalition.v1";
+constexpr const char *kSchema = "cooper.bench.v2";
 
-const char *const kKernelPhases[] = {
-    "similarity", "simd_similarity",      "predict", "matching",
-    "blocking",   "blocking_incremental", "shapley"};
+/** One value's bound: lo <= v <= hi (lo excluded when `above`), or a
+ *  boolean verdict that must be true. */
+struct Gate
+{
+    const char *field;
+    double lo = 0.0;
+    bool above = false;
+    double hi = std::numeric_limits<double>::infinity();
+    bool verdict = false;
+};
 
-const char *const kKernelWorkloadFields[] = {
-    "matrix",        "population", "samples", "shapley_agents",
-    "alpha",         "density",    "reps",    "threads"};
+constexpr Gate
+atLeast(const char *field, double lo = 0.0)
+{
+    return {field, lo};
+}
 
-const char *const kOnlinePhases[] = {"predict", "epoch"};
+constexpr Gate
+positive(const char *field)
+{
+    return {field, 0.0, true};
+}
 
-const char *const kOnlineWorkloadFields[] = {"events", "epochs", "types",
-                                             "arrivals", "threads"};
+constexpr Gate
+correlation(const char *field)
+{
+    return {field, -1.0, false, 1.0};
+}
 
-const char *const kOnlineCounterFields[] = {
-    "migrations", "pairs_broken", "full_rematches", "predict_cache_hits",
-    "recomputed_pairs"};
+constexpr Gate
+isTrue(const char *field)
+{
+    return {field, 0.0, false, 0.0, true};
+}
 
-const char *const kFaultsPhases[] = {"clean", "degraded"};
+/** What one bench's document must hold. */
+struct BenchGates
+{
+    const char *bench;
+    std::vector<const char *> workload;
+    std::vector<const char *> phases;
+    const char *rowPrefix; //!< row family of "*." gates, "" for none
+    std::size_t minRows;
+    std::vector<Gate> values;
+};
 
-const char *const kShardWorkloadFields[] = {
-    "events", "arrivals", "types", "threads", "rebalance_budget"};
-
-const char *const kShardRowFields[] = {
-    "shards",          "wall_seconds",     "speedup",   "efficiency",
-    "egalitarian_final", "egalitarian_mean", "migrations", "epochs"};
-
-const char *const kServePhases[] = {"serve", "batched_decode",
-                                    "runs_per_server"};
-
-const char *const kServeWorkloadFields[] = {
-    "events", "epochs",      "types",  "arrivals",
-    "runs",   "connections", "threads"};
-
-const char *const kServeLatencyFields[] = {
-    "arrivals_per_sec", "rtt_p50_ms",   "rtt_p99_ms", "rtt_p999_ms",
-    "epoch_p50_ms",     "epoch_p99_ms", "epoch_p999_ms"};
-
-const char *const kCoalitionWorkloadFields[] = {
-    "agents", "trials", "types", "threads", "shapley_samples"};
-
-/** Non-negative numeric columns of one groups.g<G> row. */
-const char *const kCoalitionRowFields[] = {
-    "group_size",         "machines",
-    "trials",             "core_stable_trials",
-    "rounds_mean",        "blocking_coalition",
-    "blocking_sr",        "blocking_smr",
-    "blocking_ratio",     "mean_penalty_coalition",
-    "mean_penalty_sr",    "mean_penalty_smr",
-    "egalitarian_coalition", "egalitarian_sr",
-    "egalitarian_smr"};
-
-/** Rank correlations: numeric, bounded to [-1, 1]. */
-const char *const kCoalitionFairnessFields[] = {
-    "fairness_coalition", "fairness_sr", "fairness_smr"};
-
-const char *const kFaultsCounterFields[] = {
-    "injected",          "retries",           "quarantined",
-    "quarantine_released", "abandoned",       "crashes",
-    "cf_fallbacks",      "checkpoint_failures", "clean_blocking",
-    "degraded_blocking", "blocking_ratio",    "throughput_ratio"};
+const BenchGates kBenches[] = {
+    {"kernels",
+     {"matrix", "population", "samples", "shapley_agents", "alpha",
+      "density", "reps", "threads"},
+     {"similarity", "simd_similarity", "predict", "matching", "blocking",
+      "blocking_incremental", "shapley"},
+     "", 0, {}},
+    {"online",
+     {"events", "epochs", "types", "arrivals", "threads"},
+     {"predict", "epoch"},
+     "", 0,
+     {atLeast("online.migrations"), atLeast("online.pairs_broken"),
+      atLeast("online.full_rematches"),
+      atLeast("online.predict_cache_hits"),
+      atLeast("online.recomputed_pairs")}},
+    // A faults document that injected nothing measured nothing: the
+    // degraded phase would silently equal the clean one.
+    {"faults",
+     {"events", "epochs", "types", "arrivals", "threads"},
+     {"clean", "degraded"},
+     "", 0,
+     {positive("faults.injected"), atLeast("faults.retries"),
+      atLeast("faults.quarantined"),
+      atLeast("faults.quarantine_released"), atLeast("faults.abandoned"),
+      atLeast("faults.crashes"), atLeast("faults.cf_fallbacks"),
+      atLeast("faults.checkpoint_failures"),
+      atLeast("faults.clean_blocking"),
+      atLeast("faults.degraded_blocking"),
+      atLeast("faults.blocking_ratio"),
+      positive("faults.throughput_ratio")}},
+    // Fewer than two shard counts measured no scaling.
+    {"shard",
+     {"events", "arrivals", "types", "threads", "rebalance_budget"},
+     {},
+     "k", 2,
+     {atLeast("*.shards", 1.0), atLeast("*.wall_seconds"),
+      atLeast("*.speedup"), positive("*.efficiency"),
+      atLeast("*.egalitarian_final"), atLeast("*.egalitarian_mean"),
+      atLeast("*.migrations"), atLeast("*.epochs")}},
+    // A serve document with no sustained rate served nothing: the
+    // latency tails would all be vacuous zeros.
+    {"serve",
+     {"events", "epochs", "types", "arrivals", "runs", "connections",
+      "threads"},
+     {"serve", "runs_per_server"},
+     "", 0,
+     {positive("latency.arrivals_per_sec"), atLeast("latency.rtt_p50_ms"),
+      atLeast("latency.rtt_p99_ms"), atLeast("latency.rtt_p999_ms"),
+      atLeast("latency.epoch_p50_ms"), atLeast("latency.epoch_p99_ms"),
+      atLeast("latency.epoch_p999_ms")}},
+    {"coalition",
+     {"agents", "trials", "types", "threads", "shapley_samples"},
+     {},
+     "g", 1,
+     {atLeast("*.group_size", 2.0), atLeast("*.machines"),
+      atLeast("*.trials"), atLeast("*.core_stable_trials"),
+      atLeast("*.rounds_mean"), atLeast("*.blocking_coalition"),
+      atLeast("*.blocking_sr"), atLeast("*.blocking_smr"),
+      atLeast("*.blocking_ratio"), atLeast("*.mean_penalty_coalition"),
+      atLeast("*.mean_penalty_sr"), atLeast("*.mean_penalty_smr"),
+      atLeast("*.egalitarian_coalition"), atLeast("*.egalitarian_sr"),
+      atLeast("*.egalitarian_smr"), correlation("*.fairness_coalition"),
+      correlation("*.fairness_sr"), correlation("*.fairness_smr"),
+      isTrue("*.identical_across_threads")}},
+};
 
 const JsonValue &
 member(const JsonValue &object, const std::string &key,
@@ -154,6 +179,14 @@ member(const JsonValue &object, const std::string &key,
     fatalIf(value == nullptr, "bench_json: ", where, " lacks \"", key,
             "\"");
     return *value;
+}
+
+const JsonValue &
+objectField(const JsonValue &root, const std::string &key)
+{
+    const JsonValue &value = member(root, key, "the document");
+    fatalIf(!value.isObject(), "bench_json: ", key, " is not an object");
+    return value;
 }
 
 double
@@ -166,247 +199,151 @@ numberField(const JsonValue &object, const std::string &key,
     return value.number;
 }
 
-/** Split "phase=value,phase=value" into pairs. */
-std::vector<std::pair<std::string, double>>
-parseMinSpeedups(const std::string &csv)
-{
-    std::vector<std::pair<std::string, double>> out;
-    std::size_t start = 0;
-    while (start < csv.size()) {
-        const std::size_t comma = csv.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? csv.size() : comma;
-        const std::string item = csv.substr(start, end - start);
-        const std::size_t eq = item.find('=');
-        fatalIf(eq == std::string::npos || eq == 0 ||
-                    eq + 1 >= item.size(),
-                "bench_json: bad --min-speedup entry \"", item,
-                "\"; want phase=value");
-        out.emplace_back(item.substr(0, eq),
-                         std::stod(item.substr(eq + 1)));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
 void
-checkPhase(const JsonValue &phase, const std::string &name)
+checkPhase(const std::string &name, const JsonValue &phase)
 {
     const std::string where = "phases." + name;
     fatalIf(!phase.isObject(), "bench_json: ", where,
             " is not an object");
-
-    const JsonValue &mode = member(phase, "mode", where);
-    fatalIf(!mode.isString() ||
-                (mode.text != "baseline_vs_optimized" &&
-                 mode.text != "optimized_only"),
-            "bench_json: ", where, ".mode is not a known mode");
-
-    const double baseline =
-        numberField(phase, "baseline_seconds", where);
-    const double optimized =
-        numberField(phase, "optimized_seconds", where);
-    const double speedup = numberField(phase, "speedup", where);
-    fatalIf(baseline < 0.0 || optimized < 0.0,
-            "bench_json: ", where, " has negative seconds");
-
-    const JsonValue &identical = member(phase, "identical", where);
-    fatalIf(identical.kind != JsonValue::Kind::Bool,
-            "bench_json: ", where, ".identical is not a boolean");
-
-    fatalIf(!member(phase, "metric", where).isString(),
-            "bench_json: ", where, ".metric is not a string");
-    numberField(phase, "metric_count", where);
-    numberField(phase, "metric_sum", where);
-
-    if (mode.text == "baseline_vs_optimized") {
-        fatalIf(!identical.boolean, "bench_json: ", where,
-                " compared kernels whose outputs differ");
-        fatalIf(speedup <= 0.0, "bench_json: ", where,
-                " has a non-positive speedup");
-    }
+    const double baseline = numberField(phase, "baseline", where);
+    fatalIf(baseline < 0.0, "bench_json: ", where,
+            ".baseline is negative");
+    fatalIf(numberField(phase, "optimized", where) < 0.0, "bench_json: ",
+            where, ".optimized is negative");
+    const double ratio = numberField(phase, "ratio", where);
+    const JsonValue &equal = member(phase, "equal", where);
+    fatalIf(equal.kind != JsonValue::Kind::Bool, "bench_json: ", where,
+            ".equal is not a boolean");
+    fatalIf(!equal.boolean, "bench_json: ", where,
+            ".equal is false: the phase's outputs differ");
+    fatalIf(baseline > 0.0 && ratio <= 0.0, "bench_json: ", where,
+            ".ratio is not positive for a phase with a baseline");
 }
 
 void
-checkTinyFlag(const JsonValue &workload)
+checkValue(const JsonValue &values, const std::string &name,
+           const Gate &gate)
 {
+    const JsonValue &value = member(values, name, "values");
+    if (gate.verdict) {
+        fatalIf(value.kind != JsonValue::Kind::Bool || !value.boolean,
+                "bench_json: values.", name, " is not true");
+        return;
+    }
+    fatalIf(!value.isNumber(), "bench_json: values.", name,
+            " is not a number");
+    const double v = value.number;
+    const bool low = gate.above ? v <= gate.lo : v < gate.lo;
+    if (!low && v <= gate.hi)
+        return;
+    std::ostringstream want;
+    want << (gate.above ? "> " : ">= ") << gate.lo;
+    if (gate.hi < std::numeric_limits<double>::infinity())
+        want << " and <= " << gate.hi;
+    fatal("bench_json: values.", name, " is ", v, "; want ", want.str());
+}
+
+/** The rows of a "*." family: distinct <prefix><digits> heads of the
+ *  value names. */
+std::set<std::string>
+rowsOf(const JsonValue &values, const std::string &prefix)
+{
+    std::set<std::string> rows;
+    for (const auto &[name, value] : values.members) {
+        const std::string head = name.substr(0, name.find('.'));
+        if (head.size() > prefix.size() && head.rfind(prefix, 0) == 0 &&
+            head.find_first_not_of("0123456789", prefix.size()) ==
+                std::string::npos)
+            rows.insert(head);
+    }
+    return rows;
+}
+
+void
+validate(const JsonValue &root, const BenchGates &gates)
+{
+    const JsonValue &workload = objectField(root, "workload");
+    for (const char *field : gates.workload)
+        numberField(workload, field, "workload");
     fatalIf(member(workload, "tiny", "workload").kind !=
                 JsonValue::Kind::Bool,
             "bench_json: workload.tiny is not a boolean");
-}
 
-void
-validateKernels(const JsonValue &root, const std::string &path)
-{
-    const JsonValue &workload = member(root, "workload", path);
-    fatalIf(!workload.isObject(),
-            "bench_json: workload is not an object");
-    for (const char *field : kKernelWorkloadFields)
-        numberField(workload, field, "workload");
-    checkTinyFlag(workload);
-
-    const JsonValue &phases = member(root, "phases", path);
-    fatalIf(!phases.isObject(), "bench_json: phases is not an object");
-    for (const char *name : kKernelPhases)
-        checkPhase(member(phases, name, "phases"), name);
-}
-
-void
-validateOnline(const JsonValue &root, const std::string &path)
-{
-    const JsonValue &workload = member(root, "workload", path);
-    fatalIf(!workload.isObject(),
-            "bench_json: workload is not an object");
-    for (const char *field : kOnlineWorkloadFields)
-        numberField(workload, field, "workload");
-    checkTinyFlag(workload);
-
-    const JsonValue &phases = member(root, "phases", path);
-    fatalIf(!phases.isObject(), "bench_json: phases is not an object");
-    for (const char *name : kOnlinePhases)
-        checkPhase(member(phases, name, "phases"), name);
-
-    const JsonValue &counters = member(root, "online", path);
-    fatalIf(!counters.isObject(),
-            "bench_json: online is not an object");
-    for (const char *field : kOnlineCounterFields)
-        fatalIf(numberField(counters, field, "online") < 0.0,
-                "bench_json: online.", field, " is negative");
-}
-
-void
-validateFaults(const JsonValue &root, const std::string &path)
-{
-    const JsonValue &workload = member(root, "workload", path);
-    fatalIf(!workload.isObject(),
-            "bench_json: workload is not an object");
-    for (const char *field : kOnlineWorkloadFields)
-        numberField(workload, field, "workload");
-    checkTinyFlag(workload);
-
-    const JsonValue &phases = member(root, "phases", path);
-    fatalIf(!phases.isObject(), "bench_json: phases is not an object");
-    for (const char *name : kFaultsPhases)
-        checkPhase(member(phases, name, "phases"), name);
-
-    const JsonValue &faults = member(root, "faults", path);
-    fatalIf(!faults.isObject(),
-            "bench_json: faults is not an object");
-    for (const char *field : kFaultsCounterFields)
-        fatalIf(numberField(faults, field, "faults") < 0.0,
-                "bench_json: faults.", field, " is negative");
-
-    // A faults document that injected nothing measured nothing: the
-    // degraded phase would silently equal the clean one.
-    fatalIf(numberField(faults, "injected", "faults") <= 0.0,
-            "bench_json: faults.injected is zero — the degraded run "
-            "exercised no faults");
-    fatalIf(numberField(faults, "throughput_ratio", "faults") <= 0.0,
-            "bench_json: faults.throughput_ratio is not positive");
-}
-
-void
-validateShard(const JsonValue &root, const std::string &path)
-{
-    const JsonValue &workload = member(root, "workload", path);
-    fatalIf(!workload.isObject(),
-            "bench_json: workload is not an object");
-    for (const char *field : kShardWorkloadFields)
-        numberField(workload, field, "workload");
-    checkTinyFlag(workload);
-
-    // Phase names are data ("scale2", "scale4", ...): check whatever
-    // the document carries rather than a fixed list.
-    const JsonValue &phases = member(root, "phases", path);
-    fatalIf(!phases.isObject(), "bench_json: phases is not an object");
+    const JsonValue &phases = objectField(root, "phases");
+    for (const char *name : gates.phases)
+        member(phases, name, "phases");
     for (const auto &[name, phase] : phases.members)
-        checkPhase(phase, name);
+        checkPhase(name, phase);
 
-    const JsonValue &shards = member(root, "shards", path);
-    fatalIf(!shards.isObject(), "bench_json: shards is not an object");
-    fatalIf(shards.members.size() < 2,
-            "bench_json: shards has fewer than two shard counts — no "
-            "scaling was measured");
-    for (const auto &[name, row] : shards.members) {
-        const std::string where = "shards." + name;
-        fatalIf(!row.isObject(), "bench_json: ", where,
-                " is not an object");
-        for (const char *field : kShardRowFields)
-            fatalIf(numberField(row, field, where) < 0.0,
-                    "bench_json: ", where, ".", field, " is negative");
-        fatalIf(numberField(row, "shards", where) < 1.0,
-                "bench_json: ", where, " ran zero shards");
-        fatalIf(numberField(row, "efficiency", where) <= 0.0,
-                "bench_json: ", where, ".efficiency is not positive");
+    const JsonValue &values = objectField(root, "values");
+    const std::set<std::string> rows = rowsOf(values, gates.rowPrefix);
+    fatalIf(rows.size() < gates.minRows, "bench_json: values hold ",
+            rows.size(), " ", gates.rowPrefix, "<N> row(s); bench ",
+            gates.bench, " needs at least ", gates.minRows);
+    for (const Gate &gate : gates.values) {
+        const std::string field = gate.field;
+        if (field.rfind("*.", 0) != 0) {
+            checkValue(values, field, gate);
+            continue;
+        }
+        for (const std::string &row : rows)
+            checkValue(values, row + field.substr(1), gate);
     }
 }
 
-void
-validateServe(const JsonValue &root, const std::string &path)
+/** The number a floor names: a value, or <phase>.<field>. */
+const JsonValue *
+floorField(const JsonValue &root, const std::string &field)
 {
-    const JsonValue &workload = member(root, "workload", path);
-    fatalIf(!workload.isObject(),
-            "bench_json: workload is not an object");
-    for (const char *field : kServeWorkloadFields)
-        numberField(workload, field, "workload");
-    checkTinyFlag(workload);
-
-    const JsonValue &phases = member(root, "phases", path);
-    fatalIf(!phases.isObject(), "bench_json: phases is not an object");
-    for (const char *name : kServePhases)
-        checkPhase(member(phases, name, "phases"), name);
-
-    const JsonValue &latency = member(root, "latency", path);
-    fatalIf(!latency.isObject(),
-            "bench_json: latency is not an object");
-    for (const char *field : kServeLatencyFields)
-        fatalIf(numberField(latency, field, "latency") < 0.0,
-                "bench_json: latency.", field, " is negative");
-
-    // A serve document with no sustained rate served nothing: the
-    // latency tails would all be vacuous zeros.
-    fatalIf(numberField(latency, "arrivals_per_sec", "latency") <= 0.0,
-            "bench_json: latency.arrivals_per_sec is not positive — "
-            "the served run moved no events");
+    if (const JsonValue *value = root.find("values")->find(field))
+        return value;
+    const std::size_t dot = field.rfind('.');
+    if (dot == std::string::npos)
+        return nullptr;
+    const JsonValue *phase =
+        root.find("phases")->find(field.substr(0, dot));
+    return phase == nullptr ? nullptr : phase->find(field.substr(dot + 1));
 }
 
+/**
+ * Check every "field=bound" pair of `csv` — lower bounds when `floor`,
+ * upper bounds otherwise — appending each violation.
+ */
 void
-validateCoalition(const JsonValue &root, const std::string &path)
+checkBounds(const JsonValue &root, const std::string &csv, bool floor,
+            std::vector<std::string> &violations)
 {
-    const JsonValue &workload = member(root, "workload", path);
-    fatalIf(!workload.isObject(),
-            "bench_json: workload is not an object");
-    for (const char *field : kCoalitionWorkloadFields)
-        numberField(workload, field, "workload");
-    checkTinyFlag(workload);
-
-    const JsonValue &groups = member(root, "groups", path);
-    fatalIf(!groups.isObject(), "bench_json: groups is not an object");
-    fatalIf(groups.members.empty(),
-            "bench_json: groups is empty — no group size was measured");
-    for (const auto &[name, row] : groups.members) {
-        const std::string where = "groups." + name;
-        fatalIf(!row.isObject(), "bench_json: ", where,
-                " is not an object");
-        for (const char *field : kCoalitionRowFields)
-            fatalIf(numberField(row, field, where) < 0.0,
-                    "bench_json: ", where, ".", field, " is negative");
-        for (const char *field : kCoalitionFairnessFields) {
-            const double rho = numberField(row, field, where);
-            fatalIf(rho < -1.0 || rho > 1.0, "bench_json: ", where,
-                    ".", field, " is not a rank correlation");
+    std::istringstream items(csv);
+    std::string item;
+    while (std::getline(items, item, ',')) {
+        const std::size_t eq = item.find('=');
+        const std::string field = item.substr(0, eq);
+        const std::string text =
+            eq == std::string::npos ? "" : item.substr(eq + 1);
+        char *end = nullptr;
+        const double bound = std::strtod(text.c_str(), &end);
+        fatalIf(field.empty() || text.empty() || *end != '\0',
+                "bench_json: bad ", floor ? "--min" : "--max",
+                " entry \"", item, "\"; want field=number");
+        const JsonValue *value = floorField(root, field);
+        std::ostringstream os;
+        if (value == nullptr || !value->isNumber()) {
+            os << "bench_json: " << field
+               << ": the document has no such number";
+            violations.push_back(os.str());
+            continue;
         }
-        fatalIf(numberField(row, "group_size", where) < 2.0,
-                "bench_json: ", where, " has a group size below 2");
-        const JsonValue &identical =
-            member(row, "identical_across_threads", where);
-        fatalIf(identical.kind != JsonValue::Kind::Bool,
-                "bench_json: ", where,
-                ".identical_across_threads is not a boolean");
-        fatalIf(!identical.boolean, "bench_json: ", where,
-                " formation diverged across thread counts");
+        const double v = value->number;
+        if (floor ? v < bound : v > bound) {
+            os << "bench_json: " << field << ": measured " << v
+               << (floor ? " is below the required "
+                         : " exceeds the allowed ")
+               << bound;
+            violations.push_back(os.str());
+            continue;
+        }
+        std::cout << field << ": " << v << (floor ? " >= " : " <= ")
+                  << bound << "\n";
     }
 }
 
@@ -417,15 +354,13 @@ main(int argc, char **argv)
 {
     CliFlags flags;
     flags.declare("file", "BENCH_kernels.json",
-                  "bench_regression JSON document to validate");
-    flags.declare("min-speedup", "",
-                  "comma-separated phase=value floors to enforce");
-    flags.declare("min-efficiency", "",
-                  "comma-separated shard-row=value efficiency floors "
-                  "(cooper.bench_shard.v1 only), e.g. k2=0.5");
-    flags.declare("max-blocking-ratio", "",
-                  "comma-separated group-row=value stability ceilings "
-                  "(cooper.bench_coalition.v1 only), e.g. g3=1,g4=1");
+                  "cooper.bench.v2 document to validate");
+    flags.declare("min", "",
+                  "comma-separated field=value lower bounds, e.g. "
+                  "similarity.ratio=3,k2.efficiency=0.5");
+    flags.declare("max", "",
+                  "comma-separated field=value upper bounds, e.g. "
+                  "g3.blocking_ratio=1");
     try {
         if (!flags.parse(argc, argv))
             return 0;
@@ -435,96 +370,27 @@ main(int argc, char **argv)
                 " is not a JSON object");
 
         const JsonValue &schema = member(root, "schema", path);
-        fatalIf(!schema.isString(), "bench_json: ", path,
-                " schema is not a string");
-        if (schema.text == kKernelsSchema)
-            validateKernels(root, path);
-        else if (schema.text == kOnlineSchema)
-            validateOnline(root, path);
-        else if (schema.text == kFaultsSchema)
-            validateFaults(root, path);
-        else if (schema.text == kShardSchema)
-            validateShard(root, path);
-        else if (schema.text == kServeSchema)
-            validateServe(root, path);
-        else if (schema.text == kCoalitionSchema)
-            validateCoalition(root, path);
-        else
-            fatal("bench_json: ", path, " has unknown schema \"",
-                  schema.text, "\"");
+        fatalIf(!schema.isString() || schema.text != kSchema,
+                "bench_json: ", path, " has schema ",
+                schema.isString() ? "\"" + schema.text + "\"" : "?",
+                ", not \"", kSchema, "\"");
+        const JsonValue &bench = member(root, "bench", path);
+        const BenchGates *gates = nullptr;
+        for (const BenchGates &row : kBenches)
+            if (bench.isString() && bench.text == row.bench)
+                gates = &row;
+        fatalIf(gates == nullptr, "bench_json: ", path,
+                " names an unknown bench \"", bench.text, "\"");
+        validate(root, *gates);
 
-        // Floors: check every requested phase before the verdict so a
-        // failing run names all offenders, not just the first.
         std::vector<std::string> violations;
-        if (!flags.get("min-speedup").empty()) {
-            const JsonValue &phases = member(root, "phases", path);
-            for (const auto &[name, floor] :
-                 parseMinSpeedups(flags.get("min-speedup"))) {
-                const JsonValue &phase = member(phases, name, "phases");
-                const double speedup =
-                    numberField(phase, "speedup", "phases." + name);
-                if (speedup < floor) {
-                    std::ostringstream os;
-                    os << "bench_json: phase " << name << ": measured "
-                          "speedup " << speedup
-                       << " is below the required " << floor << "x";
-                    violations.push_back(os.str());
-                    continue;
-                }
-                std::cout << "phase " << name << ": speedup " << speedup
-                          << " >= " << floor << "x\n";
-            }
-        }
-        if (!flags.get("min-efficiency").empty()) {
-            fatalIf(schema.text != kShardSchema,
-                    "bench_json: --min-efficiency only applies to ",
-                    kShardSchema, " documents");
-            const JsonValue &shards = member(root, "shards", path);
-            for (const auto &[name, floor] :
-                 parseMinSpeedups(flags.get("min-efficiency"))) {
-                const JsonValue &row = member(shards, name, "shards");
-                const double efficiency =
-                    numberField(row, "efficiency", "shards." + name);
-                if (efficiency < floor) {
-                    std::ostringstream os;
-                    os << "bench_json: shard row " << name
-                       << ": measured efficiency " << efficiency
-                       << " is below the required " << floor;
-                    violations.push_back(os.str());
-                    continue;
-                }
-                std::cout << "shards " << name << ": efficiency "
-                          << efficiency << " >= " << floor << "\n";
-            }
-        }
-        if (!flags.get("max-blocking-ratio").empty()) {
-            fatalIf(schema.text != kCoalitionSchema,
-                    "bench_json: --max-blocking-ratio only applies to ",
-                    kCoalitionSchema, " documents");
-            const JsonValue &groups = member(root, "groups", path);
-            for (const auto &[name, ceiling] :
-                 parseMinSpeedups(flags.get("max-blocking-ratio"))) {
-                const JsonValue &row = member(groups, name, "groups");
-                const double ratio = numberField(row, "blocking_ratio",
-                                                 "groups." + name);
-                if (ratio > ceiling) {
-                    std::ostringstream os;
-                    os << "bench_json: group row " << name
-                       << ": measured blocking ratio " << ratio
-                       << " exceeds the allowed " << ceiling;
-                    violations.push_back(os.str());
-                    continue;
-                }
-                std::cout << "groups " << name << ": blocking ratio "
-                          << ratio << " <= " << ceiling << "\n";
-            }
-        }
+        checkBounds(root, flags.get("min"), true, violations);
+        checkBounds(root, flags.get("max"), false, violations);
         if (!violations.empty()) {
             for (const std::string &violation : violations)
                 std::cerr << violation << "\n";
             std::cerr << "bench_json: " << path << ": "
-                      << violations.size()
-                      << " floor(s) not met\n";
+                      << violations.size() << " floor(s) not met\n";
             return 1;
         }
         std::cout << "bench_json: " << path << " OK\n";

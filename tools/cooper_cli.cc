@@ -102,7 +102,7 @@ usageText()
            "           --probe-budget N --quarantine-after N\n"
            "           --quarantine-epochs N --checkpoint-every N\n"
            "           --shards K --rebalance-budget N\n"
-           "           --listen --port P --port-file FILE --batched B\n"
+           "           --listen --port P --port-file FILE\n"
            "           --runs N --max-pending N --idle-timeout-ms T\n"
            "Bare flags (cooper_cli --policy SMR ...) route to epoch.\n"
            "serve --listen accepts the churn trace over TCP instead of\n"
@@ -486,10 +486,6 @@ cmdServe(int argc, const char *const *argv)
     flags.declare("port-file", "",
                   "write the bound port here once listening (lets "
                   "scripts find an ephemeral port)");
-    flags.declare("batched", "1",
-                  "1 = batched decode + writev responses; 0 = the "
-                  "per-message-syscall baseline (identical results, "
-                  "only slower)");
     flags.declare("runs", "1",
                   "independent replays served concurrently under "
                   "--listen; run r uses seed+r and writes "
@@ -659,7 +655,6 @@ cmdServe(int argc, const char *const *argv)
         net::ServerConfig server_config;
         server_config.port =
             static_cast<std::uint16_t>(flags.getInt("port"));
-        server_config.batched = flags.getInt("batched") != 0;
         server_config.maxPendingPerConn = static_cast<std::uint64_t>(
             flags.getInt("max-pending"));
         server_config.idleTimeoutMs = static_cast<std::uint32_t>(
@@ -675,10 +670,8 @@ cmdServe(int argc, const char *const *argv)
             pf << server.port() << "\n";
         }
         std::cout << "listening on " << server_config.host << ":"
-                  << server.port()
-                  << (server_config.batched ? " (batched)"
-                                            : " (per-message)")
-                  << ", " << runs << " run(s)" << std::endl;
+                  << server.port() << ", " << runs << " run(s)"
+                  << std::endl;
 
         const bool served = server.runUntilServed();
 

@@ -3,8 +3,8 @@
 # replay, and the summary every party ends up holding — the server's
 # --out, each client's received Summary bytes — must be byte-identical
 # to the in-process `cooper_cli serve --trace` replay of the same
-# (trace, seed, config). Both transports (batched and the per-message
-# baseline) and both drivers (flat and sharded) are held to it.
+# (trace, seed, config). Both drivers (flat and sharded) are held to
+# it.
 # Dispatch hygiene rides along: unknown subcommands and unknown flags
 # are hard failures that name the offender.
 function(run_step)
@@ -110,17 +110,11 @@ run_step(${TRACE_GEN} --arrivals 120 --initial 16 --mean-gap 8
 run_step(${CLI} serve --trace serve_net_trace.txt --seed 11
          --threads 2 --out serve_net_ref.json)
 
-serve_round_trip(serve_net_batched 3 --seed 11 --threads 2)
-require_identical(serve_net_ref.json serve_net_batched_server.json
-                  "served (batched) summary diverged from in-process")
-require_identical(serve_net_ref.json serve_net_batched_client.json
+serve_round_trip(serve_net_flat 3 --seed 11 --threads 2)
+require_identical(serve_net_ref.json serve_net_flat_server.json
+                  "served summary diverged from in-process")
+require_identical(serve_net_ref.json serve_net_flat_client.json
                   "client summary diverged from in-process")
-
-serve_round_trip(serve_net_permsg 2 --seed 11 --threads 2 --batched 0)
-require_identical(serve_net_ref.json serve_net_permsg_server.json
-                  "per-message transport changed the served results")
-require_identical(serve_net_ref.json serve_net_permsg_client.json
-                  "per-message client summary diverged")
 
 # Sharded fleet behind the same socket plane.
 run_step(${CLI} serve --trace serve_net_trace.txt --seed 11
