@@ -71,13 +71,20 @@ ColocationInstance::believedPreferences() const
         /*exclude_self=*/true);
 }
 
+void
+ColocationInstance::believedRow(AgentId a, double *row) const
+{
+    const JobTypeId self = types_[a];
+    for (AgentId b = 0; b < types_.size(); ++b)
+        row[b] = believed_(self, types_[b]) + jitterFor(a, b);
+}
+
 DisutilityTable
 ColocationInstance::believedTable(std::size_t threads) const
 {
     return DisutilityTable(
         agents(), agents(),
-        [this](AgentId a, AgentId b) { return believedDisutility(a, b); },
-        threads);
+        [this](AgentId a, double *row) { believedRow(a, row); }, threads);
 }
 
 double

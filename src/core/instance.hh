@@ -74,9 +74,17 @@ class ColocationInstance
     PreferenceProfile believedPreferences() const;
 
     /**
-     * Memoized believed disutilities over all ordered agent pairs.
-     * Valid for as long as this instance's believed penalties are —
-     * i.e. for the epoch that built the instance.
+     * Agent a's believed disutilities against every agent, written to
+     * `row` (agents() entries): entry b is believedDisutility(a, b),
+     * gathered from a's row of the type-level matrix.
+     */
+    void believedRow(AgentId a, double *row) const;
+
+    /**
+     * Memoized believed disutilities over all ordered agent pairs,
+     * filled row by row with believedRow(). Valid for as long as this
+     * instance's believed penalties are — i.e. for the epoch that
+     * built the instance.
      */
     DisutilityTable believedTable(std::size_t threads = 1) const;
 

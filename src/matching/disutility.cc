@@ -1,34 +1,61 @@
 #include "disutility.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hh"
 #include "util/thread_pool.hh"
 
 namespace cooper {
 
+namespace {
+
+/** The per-cell oracle `fn` as a row writer over `candidates`. */
+DisutilityTable::RowFill
+cellwise(DisutilityFn fn, std::size_t candidates)
+{
+    return [fn = std::move(fn), candidates](AgentId a, double *row) {
+        for (std::size_t b = 0; b < candidates; ++b)
+            row[b] = fn(a, b);
+    };
+}
+
+} // namespace
+
 DisutilityTable::DisutilityTable(std::size_t agents,
                                  std::size_t candidates,
-                                 const DisutilityFn &fn,
-                                 std::size_t threads)
+                                 const RowFill &fill, std::size_t threads)
     : agents_(agents), candidates_(candidates),
       data_(agents * candidates, 0.0), rowMin_(agents, 0.0)
 {
     fatalIf(agents == 0 || candidates == 0,
             "DisutilityTable: empty shape ", agents, "x", candidates);
-    // Row r is written by exactly one iteration.
-    parallelFor(0, agents_, threads, [&](std::size_t a) {
+    fillRows(nullptr, agents_, fill, threads);
+}
+
+DisutilityTable::DisutilityTable(std::size_t agents,
+                                 std::size_t candidates,
+                                 const DisutilityFn &fn,
+                                 std::size_t threads)
+    : DisutilityTable(agents, candidates, cellwise(fn, candidates),
+                      threads)
+{}
+
+void
+DisutilityTable::fillRows(const AgentId *rows, std::size_t count,
+                          const RowFill &fill, std::size_t threads)
+{
+    parallelFor(0, count, threads, [&](std::size_t k) {
+        const AgentId a = rows == nullptr ? k : rows[k];
         double *row = data_.data() + a * candidates_;
-        for (std::size_t b = 0; b < candidates_; ++b)
-            row[b] = fn(a, b);
+        fill(a, row);
         rowMin_[a] = *std::min_element(row, row + candidates_);
     });
 }
 
 void
 DisutilityTable::refreshRows(const std::vector<AgentId> &rows,
-                             const DisutilityFn &fn,
-                             std::size_t threads)
+                             const RowFill &fill, std::size_t threads)
 {
     fatalIf(empty(), "DisutilityTable::refreshRows: table not built");
     // Deduplicate so a row is written by exactly one iteration.
@@ -38,13 +65,14 @@ DisutilityTable::refreshRows(const std::vector<AgentId> &rows,
     fatalIf(!todo.empty() && todo.back() >= agents_,
             "DisutilityTable::refreshRows: row ", todo.back(),
             " out of range (", agents_, " agents)");
-    parallelFor(0, todo.size(), threads, [&](std::size_t k) {
-        const AgentId a = todo[k];
-        double *row = data_.data() + a * candidates_;
-        for (std::size_t b = 0; b < candidates_; ++b)
-            row[b] = fn(a, b);
-        rowMin_[a] = *std::min_element(row, row + candidates_);
-    });
+    fillRows(todo.data(), todo.size(), fill, threads);
+}
+
+void
+DisutilityTable::refreshRows(const std::vector<AgentId> &rows,
+                             const DisutilityFn &fn, std::size_t threads)
+{
+    refreshRows(rows, cellwise(fn, candidates_), threads);
 }
 
 DisutilityFn

@@ -26,6 +26,7 @@
 #define COOPER_MATCHING_DISUTILITY_HH
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "matching/matching.hh"
@@ -36,18 +37,27 @@ namespace cooper {
 class DisutilityTable
 {
   public:
+    /** Writes agent a's candidates() disutilities to `row`; one call
+     *  per row instead of one oracle call per cell. */
+    using RowFill = std::function<void(AgentId a, double *row)>;
+
     DisutilityTable() = default;
 
     /**
-     * Evaluate `fn` for every (agent, candidate) pair.
+     * Fill every row with `fill`.
      *
      * @param agents Number of agents (rows).
      * @param candidates Number of candidates (columns).
-     * @param fn Disutility oracle; must be safe to call concurrently
-     *        when threads != 1.
+     * @param fill Row writer; must be safe to call concurrently on
+     *        distinct rows when threads != 1.
      * @param threads Worker threads for the fill; 0 = hardware,
      *        1 = serial.
      */
+    DisutilityTable(std::size_t agents, std::size_t candidates,
+                    const RowFill &fill, std::size_t threads = 1);
+
+    /** Evaluate the oracle `fn` for every (agent, candidate) pair;
+     *  `fn` must be safe to call concurrently when threads != 1. */
     DisutilityTable(std::size_t agents, std::size_t candidates,
                     const DisutilityFn &fn, std::size_t threads = 1);
 
@@ -74,21 +84,30 @@ class DisutilityTable
     double rowMin(AgentId a) const { return rowMin_[a]; }
 
     /**
-     * Re-evaluate `fn` over just the listed rows (duplicates fine),
-     * refreshing their rowMin bounds; all other rows keep their
-     * snapshot. After the call the refreshed rows are exactly what a
-     * full rebuild against `fn` would hold, so a caller that lists
+     * Re-fill just the listed rows (duplicates fine), refreshing their
+     * rowMin bounds; all other rows keep their snapshot. After the
+     * call the refreshed rows are exactly what a full rebuild against
+     * `fill` would hold, so a caller that lists
      * every row whose answers changed ends with a table bit-identical
      * to a from-scratch build — at O(rows * candidates) cost.
      */
     void refreshRows(const std::vector<AgentId> &rows,
-                     const DisutilityFn &fn, std::size_t threads = 1);
+                     const RowFill &fill, std::size_t threads = 1);
 
     /** Adapter to the functional interface; the table must outlive
      *  the returned closure. */
     DisutilityFn fn() const;
 
+    /** Per-cell form of refreshRows(), as for the constructors. */
+    void refreshRows(const std::vector<AgentId> &rows,
+                     const DisutilityFn &fn, std::size_t threads = 1);
+
   private:
+    /** The one fill loop: writes rows[k] (row k when `rows` is null)
+     *  for k < count, each in exactly one iteration, with its rowMin. */
+    void fillRows(const AgentId *rows, std::size_t count,
+                  const RowFill &fill, std::size_t threads);
+
     std::size_t agents_ = 0;
     std::size_t candidates_ = 0;
     std::vector<double> data_;

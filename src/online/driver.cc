@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iomanip>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -296,8 +297,8 @@ OnlineDriver::carriedStructure() const
 }
 
 void
-OnlineDriver::formEpoch(const ColocationInstance &instance,
-                        const Rng &rng, OnlineEpochStats &stats)
+OnlineDriver::formEpoch(const DisutilityTable &believed, const Rng &rng,
+                        OnlineEpochStats &stats)
 {
     const OnlineConfig &online = config_.execution.online;
     const std::size_t threads = config_.execution.threads;
@@ -306,7 +307,6 @@ OnlineDriver::formEpoch(const ColocationInstance &instance,
     types.reserve(live_.size());
     for (const LiveJob &job : live_)
         types.push_back(job.type);
-    const DisutilityTable believed = instance.believedTable(threads);
 
     const CoalitionStructure carried = carriedStructure();
 
@@ -380,9 +380,9 @@ OnlineDriver::formEpoch(const ColocationInstance &instance,
     }
 }
 
-RepairOutcome
-OnlineDriver::repairIncremental(const ColocationInstance &instance,
-                                const Matching &previous, Rng &rng)
+bool
+OnlineDriver::refreshBelievedTable(const ColocationInstance &instance,
+                                   std::vector<AgentId> &dirty)
 {
     const std::size_t threads = config_.execution.threads;
     const std::size_t n = live_.size();
@@ -400,7 +400,7 @@ OnlineDriver::repairIncremental(const ColocationInstance &instance,
     const bool same_population = lastUids_.size() == n &&
                                  believedTable_.agents() == n &&
                                  lastBelieved_.size() == ntypes;
-    std::vector<AgentId> dirty;
+    dirty.clear();
     bool any_slot_changed = false;
     if (same_population) {
         std::vector<std::uint8_t> type_row_changed(ntypes, 0);
@@ -425,22 +425,17 @@ OnlineDriver::repairIncremental(const ColocationInstance &instance,
     } else if (!dirty.empty()) {
         believedTable_.refreshRows(
             dirty,
-            [&instance](AgentId a, AgentId b) {
-                return instance.believedDisutility(a, b);
+            [&instance](AgentId a, double *row) {
+                instance.believedRow(a, row);
             },
             threads);
     }
-
-    RepairOutcome out =
-        repairer_.repair(instance, previous, rng, threads,
-                         believedTable_, bounds_, dirty,
-                         /*rebuild_bounds=*/!same_population);
 
     lastUids_.resize(n);
     for (AgentId i = 0; i < n; ++i)
         lastUids_[i] = live_[i].uid;
     lastBelieved_ = believed;
-    return out;
+    return !same_population;
 }
 
 Matching
@@ -607,6 +602,12 @@ OnlineDriver::stepEpoch(EventQueue &queue, OnlineReport &report)
     // 1. Drain this epoch's events. Arrivals wait for admission;
     // departures take effect immediately (the job is gone whether or
     // not the coordinator has re-matched yet).
+    //
+    // Each stage re-emplaces `stage`, which closes the previous
+    // stage's timer; the stages are disjoint and cost nothing with
+    // metrics off.
+    std::optional<ScopedTimer> stage(std::in_place,
+                                     "online.stage.drain_seconds");
     while (!queue.empty() && queue.nextTick() < boundary) {
         const ChurnEvent event = queue.pop();
         if (event.kind == EventKind::Arrival) {
@@ -632,6 +633,7 @@ OnlineDriver::stepEpoch(EventQueue &queue, OnlineReport &report)
     }
     // 1b. Epoch-boundary faults: node crashes evict colocated pairs,
     // due quarantine entries re-enter the FIFO.
+    stage.emplace("online.stage.fault_seconds");
     faultBoundary(stats);
     stats.rejectedTotal = admission_.rejected();
 
@@ -639,6 +641,7 @@ OnlineDriver::stepEpoch(EventQueue &queue, OnlineReport &report)
     // before it joins the population. An arrival whose probes fail
     // outright on enough cells is quarantined instead of admitted —
     // pairing an uncharacterized job would be guesswork.
+    stage.emplace("online.stage.admit_seconds");
     ProbeBudget budget{online.probeBudgetPerEpoch > 0,
                        online.probeBudgetPerEpoch};
     const auto admitted = admission_.admit(online.admitPerEpoch);
@@ -677,12 +680,12 @@ OnlineDriver::stepEpoch(EventQueue &queue, OnlineReport &report)
     }
     stats.probes += refreshProfiles(budget);
     stats.queueDepth = admission_.depth();
+    stage.reset();
 
-    // 3. Predict, build the epoch's instance, repair the carried-over
-    // matching.
+    // 3. Predict, build the epoch's instance and believed table,
+    // repair the carried-over matching.
     if (live_.size() >= 2) {
         const std::size_t n = catalog_->size();
-        PenaltyMatrix truth = model_->penaltyMatrix();
         PenaltyMatrix believed(n);
         if (predictor_.ratings().knownCount() == 0) {
             // Bottom rung of the degradation ladder: every probe so
@@ -717,25 +720,43 @@ OnlineDriver::stepEpoch(EventQueue &queue, OnlineReport &report)
                     believed(i, j) = prediction->dense[i][j];
         }
 
+        stage.emplace("online.stage.instance_seconds");
         std::vector<JobTypeId> types;
         types.reserve(live_.size());
         for (const LiveJob &job : live_)
             types.push_back(job.type);
         const ColocationInstance instance(*catalog_, std::move(types),
-                                          std::move(truth),
+                                          model_->penaltyMatrix(),
                                           std::move(believed),
                                           config_.jitter);
 
+        // The believed table: kept across epochs and refreshed
+        // row-wise under incremental blocking, else built fresh.
+        stage.emplace("online.stage.believed_seconds");
+        const std::size_t threads = config_.execution.threads;
+        const bool incremental =
+            !coalitionMode() && online.incrementalBlocking;
+        DisutilityTable fresh;
+        std::vector<AgentId> dirty;
+        bool rebuild_bounds = false;
+        if (incremental)
+            rebuild_bounds = refreshBelievedTable(instance, dirty);
+        else
+            fresh = instance.believedTable(threads);
+        const DisutilityTable &table = incremental ? believedTable_ : fresh;
+
+        stage.emplace("online.stage.match_seconds");
         Rng rng = base_.substream(kPolicyStream).substream(epoch_);
         if (coalitionMode()) {
-            formEpoch(instance, rng, stats);
+            formEpoch(table, rng, stats);
         } else {
             const Matching prev = carriedMatching();
             const RepairOutcome out =
-                online.incrementalBlocking
-                    ? repairIncremental(instance, prev, rng)
-                    : repairer_.repair(instance, prev, rng,
-                                       config_.execution.threads);
+                incremental
+                    ? repairer_.repair(instance, prev, rng, threads, table,
+                                       bounds_, dirty, rebuild_bounds)
+                    : repairer_.repair(instance, prev, rng, threads,
+                                       table);
 
             stats.blockingBefore = out.blockingBefore;
             stats.blockingAfter = out.blockingAfter;
@@ -763,6 +784,7 @@ OnlineDriver::stepEpoch(EventQueue &queue, OnlineReport &report)
         bounds_.invalidate();
     }
 
+    stage.emplace("online.stage.commit_seconds");
     stats.population = live_.size();
     lastMeanPenalty_ = stats.meanPenalty;
 

@@ -328,20 +328,23 @@ class OnlineDriver
     /** Carried coalitions mapped onto current agent indices. */
     CoalitionStructure carriedStructure() const;
 
-    /** Coalition-mode epoch core: form, commit groups_, fill stats. */
-    void formEpoch(const ColocationInstance &instance,
-                   const Rng &rng, OnlineEpochStats &stats);
+    /** Coalition-mode epoch core: form over the epoch's believed
+     *  table, commit groups_, fill stats. */
+    void formEpoch(const DisutilityTable &believed, const Rng &rng,
+                   OnlineEpochStats &stats);
 
     /**
-     * Repair with incrementally maintained blocking bounds
-     * (online.incrementalBlocking): diffs the believed matrix and the
-     * live-slot sequence against the previous epoch to find the
-     * disutility rows that changed, refreshes the cached table and
-     * bounds accordingly, and hands both to the repairing policy.
-     * Decisions are bit-identical to the plain repair() path.
+     * Bring the cached believed table up to date for incremental
+     * blocking (online.incrementalBlocking): diffs the believed matrix
+     * and the live-slot sequence against the previous epoch, lists in
+     * `dirty` the disutility rows that changed, and refreshes just
+     * those rows (or rebuilds the table when a slot moved). Returns
+     * true when the population changed, so the pair bounds must be
+     * rebuilt rather than updated from `dirty`. Decisions downstream
+     * are bit-identical to a fresh table and full scans.
      */
-    RepairOutcome repairIncremental(const ColocationInstance &instance,
-                                    const Matching &previous, Rng &rng);
+    bool refreshBelievedTable(const ColocationInstance &instance,
+                              std::vector<AgentId> &dirty);
 
     const Catalog *catalog_;
     const InterferenceModel *model_;
@@ -373,7 +376,7 @@ class OnlineDriver
      *  the colocation state, never both. */
     std::vector<std::vector<JobUid>> groups_;
 
-    /** Incremental-blocking caches (see repairIncremental): the
+    /** Incremental-blocking caches (see refreshBelievedTable): the
      *  previous epoch's uid-per-slot sequence and believed matrix
      *  diff into the dirty-row set; the believed table and pair
      *  bounds survive across epochs and refresh row-wise. Cleared by

@@ -27,7 +27,8 @@ RepairingPolicy::RepairingPolicy(std::string policy, double alpha,
 RepairOutcome
 RepairingPolicy::repair(const ColocationInstance &instance,
                         const Matching &previous, Rng &rng,
-                        std::size_t threads) const
+                        std::size_t threads,
+                        const DisutilityTable &believed) const
 {
     const TraceSpan span("online.repair", "online");
     const ScopedTimer timer("online.repair_seconds");
@@ -35,7 +36,6 @@ RepairingPolicy::repair(const ColocationInstance &instance,
             "RepairingPolicy: previous matching covers ",
             previous.size(), " agents, instance has ",
             instance.agents());
-    const DisutilityTable believed = instance.believedTable(threads);
     return repairImpl(instance, previous, rng, threads, believed,
                       nullptr);
 }

@@ -80,17 +80,18 @@ class RepairingPolicy
      *
      * @param rng Random stream for the policy run (the driver hands
      *        an epoch-keyed substream so results replay exactly).
-     * @param threads Worker threads for the table fills and scans.
+     * @param threads Worker threads for the scans.
+     * @param believed Must equal instance.believedTable().
      */
     RepairOutcome repair(const ColocationInstance &instance,
                          const Matching &previous, Rng &rng,
-                         std::size_t threads) const;
+                         std::size_t threads,
+                         const DisutilityTable &believed) const;
 
     /**
      * Incremental-blocking variant: decisions identical to repair(),
-     * but the believed table is caller-owned (so it can be refreshed
-     * instead of rebuilt) and blocking pairs come from `bounds`
-     * instead of fresh O(n^2) scans.
+     * but blocking pairs come from `bounds` instead of fresh O(n^2)
+     * scans (the caller refreshes `believed` instead of rebuilding it).
      *
      * `believed` must equal instance.believedTable(); `dirty_rows`
      * lists the agents whose believed rows changed since `bounds` was

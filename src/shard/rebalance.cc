@@ -1,8 +1,8 @@
 #include "rebalance.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
-#include <map>
 
 #include "util/error.hh"
 
@@ -10,62 +10,60 @@ namespace cooper {
 
 namespace {
 
-/** Mutable working copy of the fleet the planner moves jobs in. */
+constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
+
+/**
+ * Flat working copy of the fleet the planner moves jobs in.
+ *
+ * Every job's predicted cost is computed once, when the fleet is
+ * built, and each shard keeps its worst-off slot; a move only widows
+ * one partner, so it rescans just the source and the target. Slots are
+ * never erased: a migrant's source slot is marked gone and the migrant
+ * is appended to its target, which leaves the live order (the "earliest
+ * live slot" tie rule) exactly as erasing would.
+ */
 struct Fleet
 {
     struct Shard
     {
-        std::vector<LiveJob> live;
-        std::map<JobUid, JobUid> partner; // both directions
-        std::map<JobUid, JobTypeId> type;
+        std::vector<LiveJob> jobs;
+        std::vector<double> cost;         // pair cost; 0 when unmatched
+        std::vector<std::size_t> partner; // partner's slot, or kNoSlot
+        std::vector<std::uint8_t> gone;   // migrated out by this plan
         std::size_t room = 0;
+        double worst = 0.0;               // worst-off cost; 0 when empty
+        std::size_t worstSlot = kNoSlot;  // first live slot attaining it;
+                                          // kNoSlot iff no job is live
+
+        /** Recompute the worst-off slot (first live slot wins ties). */
+        void
+        rescan()
+        {
+            worst = 0.0;
+            worstSlot = kNoSlot;
+            for (std::size_t i = 0; i < jobs.size(); ++i) {
+                if (gone[i])
+                    continue;
+                if (worstSlot == kNoSlot || cost[i] > worst) {
+                    worst = cost[i];
+                    worstSlot = i;
+                }
+            }
+        }
     };
 
     std::vector<Shard> shards;
-    const SparseMatrix *profiles = nullptr;
-    double fallback = 0.0;
+    std::size_t types = 0;
 
-    /** Directed penalty estimate from the merged profiles. */
+    /** types x types: a pair hurts both members, so entry (a, b) is
+     *  the worse of the two directed estimates from the merged
+     *  profiles (unknown cells fall back to their mean). */
+    std::vector<double> pairCost;
+
     double
-    estimate(JobTypeId self, JobTypeId other) const
+    pair(JobTypeId a, JobTypeId b) const
     {
-        return profiles->valueOr(self, other, fallback);
-    }
-
-    /** A pair hurts both members; its cost is the worse direction. */
-    double
-    pairCost(JobTypeId a, JobTypeId b) const
-    {
-        return std::max(estimate(a, b), estimate(b, a));
-    }
-
-    /** Predicted cost of one job: its pair's cost, or 0 unmatched. */
-    double
-    costOf(const Shard &shard, const LiveJob &job) const
-    {
-        const auto link = shard.partner.find(job.uid);
-        if (link == shard.partner.end())
-            return 0.0;
-        const auto other = shard.type.find(link->second);
-        panicIf(other == shard.type.end(),
-                "Rebalancer: partner uid without a type");
-        return pairCost(job.type, other->second);
-    }
-
-    /** Worst-off job of one shard (first live slot wins ties). */
-    std::pair<double, const LiveJob *>
-    worstOf(const Shard &shard) const
-    {
-        double worst = 0.0;
-        const LiveJob *job = nullptr;
-        for (const LiveJob &candidate : shard.live) {
-            const double cost = costOf(shard, candidate);
-            if (job == nullptr || cost > worst) {
-                worst = cost;
-                job = &candidate;
-            }
-        }
-        return {job == nullptr ? 0.0 : worst, job};
+        return pairCost[a * types + b];
     }
 
     /** Fleet-wide egalitarian objective and the shard attaining it. */
@@ -75,9 +73,8 @@ struct Fleet
         double worst = 0.0;
         std::size_t at = 0;
         for (std::size_t s = 0; s < shards.size(); ++s) {
-            const double cost = worstOf(shards[s]).first;
-            if (cost > worst) {
-                worst = cost;
+            if (shards[s].worst > worst) {
+                worst = shards[s].worst;
                 at = s;
             }
         }
@@ -89,62 +86,124 @@ struct Fleet
     double
     entryCost(const Shard &shard, JobTypeId type) const
     {
-        if (shard.live.empty())
+        if (shard.worstSlot == kNoSlot)
             return 0.0;
         double best = std::numeric_limits<double>::infinity();
-        for (const LiveJob &host : shard.live)
-            best = std::min(best, pairCost(type, host.type));
+        for (std::size_t i = 0; i < shard.jobs.size(); ++i)
+            if (!shard.gone[i])
+                best = std::min(best, pair(type, shard.jobs[i].type));
         return best;
     }
 
-    /** Worst-off cost of `shard` once `uid` leaves: the departing
+    /** Worst-off cost of `shard` once `slot` leaves: the departing
      *  job drops out and its partner is widowed (cost 0). */
-    double
-    worstWithout(const Shard &shard, JobUid uid) const
+    static double
+    worstWithout(const Shard &shard, std::size_t slot)
     {
-        const auto link = shard.partner.find(uid);
-        const bool widows = link != shard.partner.end();
-        const JobUid widowed = widows ? link->second : 0;
+        const std::size_t widowed = shard.partner[slot];
         double worst = 0.0;
-        for (const LiveJob &candidate : shard.live) {
-            if (candidate.uid == uid)
+        for (std::size_t i = 0; i < shard.jobs.size(); ++i) {
+            if (shard.gone[i] || i == slot)
                 continue;
-            const double cost = widows && candidate.uid == widowed
-                                    ? 0.0
-                                    : costOf(shard, candidate);
-            worst = std::max(worst, cost);
+            worst = std::max(worst, i == widowed ? 0.0 : shard.cost[i]);
         }
         return worst;
     }
 
-    /** Move `uid` from shard `from` to shard `to`, dissolving its
-     *  pair; the migrant lands unmatched. */
+    /** Move `slot` of shard `from` to shard `to`, dissolving its pair;
+     *  the migrant lands unmatched. */
     void
-    move(JobUid uid, std::size_t from, std::size_t to)
+    move(std::size_t from, std::size_t slot, std::size_t to)
     {
         Shard &src = shards[from];
-        const auto it = std::find_if(
-            src.live.begin(), src.live.end(),
-            [uid](const LiveJob &job) { return job.uid == uid; });
-        panicIf(it == src.live.end(),
-                "Rebalancer: moving a job that is not live");
-        const LiveJob job = *it;
-        const auto link = src.partner.find(uid);
-        if (link != src.partner.end()) {
-            const JobUid other = link->second;
-            src.partner.erase(link);
-            src.partner.erase(other);
+        const std::size_t widowed = src.partner[slot];
+        if (widowed != kNoSlot) {
+            src.partner[widowed] = kNoSlot;
+            src.cost[widowed] = 0.0;
         }
-        src.live.erase(it);
-        src.type.erase(uid);
+        src.partner[slot] = kNoSlot;
+        src.gone[slot] = 1;
 
         Shard &dst = shards[to];
         panicIf(dst.room == 0, "Rebalancer: target shard has no room");
         --dst.room;
-        dst.live.push_back(job);
-        dst.type.emplace(job.uid, job.type);
+        dst.jobs.push_back(src.jobs[slot]);
+        dst.cost.push_back(0.0);
+        dst.partner.push_back(kNoSlot);
+        dst.gone.push_back(0);
+
+        src.rescan();
+        dst.rescan();
     }
 };
+
+Fleet
+buildFleet(const std::vector<ShardView> &views,
+           const SparseMatrix &profiles)
+{
+    Fleet fleet;
+    const std::size_t types = profiles.rows();
+    fatalIf(profiles.cols() != types,
+            "Rebalancer: profiles must be type x type, got ", types, "x",
+            profiles.cols());
+    fleet.types = types;
+    const double fallback = profiles.knownCount() > 0
+                                ? profiles.knownMean()
+                                : 0.0;
+    fleet.pairCost.resize(types * types);
+    for (std::size_t a = 0; a < types; ++a)
+        for (std::size_t b = 0; b < types; ++b)
+            fleet.pairCost[a * types + b] =
+                std::max(profiles.valueOr(a, b, fallback),
+                         profiles.valueOr(b, a, fallback));
+
+    fleet.shards.reserve(views.size());
+    std::vector<std::pair<JobUid, std::size_t>> bySlot;
+    for (const ShardView &view : views) {
+        Fleet::Shard shard;
+        const std::size_t n = view.live.size();
+        shard.jobs = view.live;
+        shard.cost.assign(n, 0.0);
+        shard.partner.assign(n, kNoSlot);
+        shard.gone.assign(n, 0);
+        shard.room = view.admissionRoom;
+
+        // Resolve the uid-level pairs to slots through one sorted
+        // (uid, slot) index.
+        bySlot.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            fatalIf(shard.jobs[i].type >= types, "Rebalancer: job type ",
+                    shard.jobs[i].type, " outside the ", types,
+                    "-type profiles");
+            bySlot.emplace_back(shard.jobs[i].uid, i);
+        }
+        std::sort(bySlot.begin(), bySlot.end());
+        const auto slotOf = [&bySlot](JobUid uid) {
+            const auto it = std::lower_bound(
+                bySlot.begin(), bySlot.end(),
+                std::make_pair(uid, std::size_t{0}));
+            return it != bySlot.end() && it->first == uid ? it->second
+                                                          : kNoSlot;
+        };
+        for (const auto &[a, b] : view.pairs) {
+            const std::size_t sa = slotOf(a);
+            const std::size_t sb = slotOf(b);
+            fatalIf(sa == kNoSlot || sb == kNoSlot,
+                    "Rebalancer: paired uid not in its shard's live "
+                    "set");
+            shard.partner[sa] = sb;
+            shard.partner[sb] = sa;
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            if (shard.partner[i] != kNoSlot)
+                shard.cost[i] =
+                    fleet.pair(shard.jobs[i].type,
+                               shard.jobs[shard.partner[i]].type);
+        shard.rescan();
+        fleet.shards.push_back(std::move(shard));
+    }
+    return fleet;
+}
 
 } // namespace
 
@@ -153,31 +212,10 @@ Rebalancer::plan(const std::vector<ShardView> &shards,
                  const SparseMatrix &profiles) const
 {
     fatalIf(shards.empty(), "Rebalancer: no shards");
-
-    Fleet fleet;
-    fleet.profiles = &profiles;
-    fleet.fallback = profiles.knownCount() > 0 ? profiles.knownMean()
-                                               : 0.0;
-    fleet.shards.reserve(shards.size());
-    for (const ShardView &view : shards) {
-        Fleet::Shard shard;
-        shard.live = view.live;
-        shard.room = view.admissionRoom;
-        for (const LiveJob &job : view.live)
-            shard.type.emplace(job.uid, job.type);
-        for (const auto &[a, b] : view.pairs) {
-            fatalIf(shard.type.find(a) == shard.type.end() ||
-                        shard.type.find(b) == shard.type.end(),
-                    "Rebalancer: paired uid not in its shard's live "
-                    "set");
-            shard.partner[a] = b;
-            shard.partner[b] = a;
-        }
-        fleet.shards.push_back(std::move(shard));
-    }
+    Fleet fleet = buildFleet(shards, profiles);
 
     RebalanceOutcome outcome;
-    auto [phi, worstShard] = fleet.objective();
+    const auto [phi, worstShard] = fleet.objective();
     outcome.objectiveBefore = phi;
     outcome.objectiveAfter = phi;
     outcome.worstShard = worstShard;
@@ -186,22 +224,21 @@ Rebalancer::plan(const std::vector<ShardView> &shards,
         const auto [before, source] = fleet.objective();
         if (before <= 0.0)
             break; // nobody is suffering
-        const auto worst = fleet.worstOf(fleet.shards[source]);
-        panicIf(worst.second == nullptr,
+        const Fleet::Shard &from = fleet.shards[source];
+        const std::size_t slot = from.worstSlot;
+        panicIf(slot == kNoSlot,
                 "Rebalancer: positive objective with no worst job");
-        const LiveJob job = *worst.second;
+        const LiveJob job = from.jobs[slot];
 
         // Candidate objective for a target t: the source without the
         // victim, the victim's entry estimate at t, and every other
         // shard unchanged. The non-source worsts do not depend on t,
         // so they fold into one precomputed bound.
-        const double sourceAfter =
-            fleet.worstWithout(fleet.shards[source], job.uid);
+        const double sourceAfter = Fleet::worstWithout(from, slot);
         double othersWorst = 0.0;
         for (std::size_t s = 0; s < fleet.shards.size(); ++s)
             if (s != source)
-                othersWorst = std::max(
-                    othersWorst, fleet.worstOf(fleet.shards[s]).first);
+                othersWorst = std::max(othersWorst, fleet.shards[s].worst);
         const double floor = std::max(sourceAfter, othersWorst);
 
         std::size_t target = fleet.shards.size();
@@ -219,7 +256,7 @@ Rebalancer::plan(const std::vector<ShardView> &shards,
         if (target == fleet.shards.size())
             break; // no strictly improving move exists
 
-        fleet.move(job.uid, source, target);
+        fleet.move(source, slot, target);
         MigrationMove moved;
         moved.uid = job.uid;
         moved.fromShard = source;

@@ -88,6 +88,11 @@ struct RebalanceOutcome
  * hosts (an empty shard estimates zero). Migrants re-enter admission
  * unmatched, so the estimate only steers the choice; the target
  * shard's own policy decides the actual pairing next epoch.
+ *
+ * The plan runs on flat per-shard arrays: every job's cost is
+ * computed once and each shard keeps its worst-off slot, so a pass
+ * costs O(K + N) for K shards and N jobs (the targets' entry costs),
+ * and a move rescans only its source and target (DESIGN.md §12).
  */
 class Rebalancer
 {

@@ -100,6 +100,7 @@ ShardedDriver::idle(const EventQueue &global) const
 void
 ShardedDriver::routeEpoch(EventQueue &global)
 {
+    const ScopedTimer timer("shard.stage.route_seconds");
     const Tick boundary =
         (epoch_ + 1) * config_.execution.online.epochTicks;
     while (!global.empty() && global.nextTick() < boundary) {
@@ -112,6 +113,7 @@ void
 ShardedDriver::rebalance(ShardEpochStats &stats)
 {
     const TraceSpan span("shard.rebalance", "shard");
+    const ScopedTimer timer("shard.stage.rebalance_seconds");
 
     std::vector<ShardView> views;
     views.reserve(drivers_.size());
@@ -171,6 +173,7 @@ ShardedDriver::maybeCheckpoint()
         epoch_ % online.checkpointEveryEpochs != 0)
         return;
     const TraceSpan span("shard.checkpoint", "shard");
+    const ScopedTimer timer("shard.stage.checkpoint_seconds");
     // Every shard holds the same plan; an injected failure skips the
     // write exactly as a failing sink does, and the last good
     // checkpoint stands.

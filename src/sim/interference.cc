@@ -10,13 +10,18 @@ namespace cooper {
 
 InterferenceModel::InterferenceModel(const Catalog &catalog,
                                      ServerConfig config)
-    : catalog_(&catalog), config_(config)
+    : catalog_(&catalog), config_(config), penalties_(catalog.size())
 {
     fatalIf(config_.llcMB <= 0.0, "InterferenceModel: llcMB must be > 0");
     fatalIf(config_.bwRefGBps <= 0.0,
             "InterferenceModel: bwRefGBps must be > 0");
     fatalIf(config_.bwSpanGBps <= 0.0,
             "InterferenceModel: bwSpanGBps must be > 0");
+    const std::size_t n = catalog.size();
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            penalties_(i, j) = closedForm(static_cast<JobTypeId>(i),
+                                          static_cast<JobTypeId>(j));
 }
 
 double
@@ -59,6 +64,15 @@ InterferenceModel::idiosyncrasyFactor(JobTypeId self, JobTypeId other) const
 double
 InterferenceModel::penalty(JobTypeId self, JobTypeId other) const
 {
+    const std::size_t n = penalties_.size();
+    fatalIf(self >= n || other >= n, "InterferenceModel: job type (",
+            self, ", ", other, ") out of range (", n, " types)");
+    return penalties_(self, other);
+}
+
+double
+InterferenceModel::closedForm(JobTypeId self, JobTypeId other) const
+{
     const JobType &a = catalog_->job(self);
     const double bw_term = a.bwSensitivity *
                            bandwidthPressure(self, other) *
@@ -69,18 +83,6 @@ InterferenceModel::penalty(JobTypeId self, JobTypeId other) const
     const double d = (bw_term + cache_term) *
                      idiosyncrasyFactor(self, other);
     return std::clamp(d, 0.0, 1.0);
-}
-
-PenaltyMatrix
-InterferenceModel::penaltyMatrix() const
-{
-    const std::size_t n = catalog_->size();
-    PenaltyMatrix m(n);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            m(i, j) = penalty(static_cast<JobTypeId>(i),
-                              static_cast<JobTypeId>(j));
-    return m;
 }
 
 double

@@ -10,6 +10,11 @@
  * cache term (LLC overflow felt in proportion to the job's cache
  * sensitivity), plus a small deterministic per-pair idiosyncrasy so
  * that preference lists are rich rather than purely one-dimensional.
+ *
+ * The closed form is evaluated once per ordered type pair, when the
+ * model is built; penalty() and penaltyMatrix() then read that table,
+ * so every epoch's truth matrix and every probe measurement is a
+ * lookup.
  */
 
 #ifndef COOPER_SIM_INTERFERENCE_HH
@@ -65,12 +70,13 @@ class InterferenceModel
 
     /**
      * Ground-truth penalty of job type `self` when sharing a CMP with
-     * job type `other`.
+     * job type `other`. Raises FatalError on a type outside the
+     * catalog.
      */
     double penalty(JobTypeId self, JobTypeId other) const;
 
-    /** Dense matrix of all type-level penalties. */
-    PenaltyMatrix penaltyMatrix() const;
+    /** Dense matrix of all type-level penalties, built with the model. */
+    const PenaltyMatrix &penaltyMatrix() const { return penalties_; }
 
     /**
      * Colocated completion time of `self` when running against
@@ -103,8 +109,12 @@ class InterferenceModel
     /** Deterministic idiosyncrasy factor in [1-a, 1+a]. */
     double idiosyncrasyFactor(JobTypeId self, JobTypeId other) const;
 
+    /** The closed form behind penalty(), evaluated at construction. */
+    double closedForm(JobTypeId self, JobTypeId other) const;
+
     const Catalog *catalog_;
     ServerConfig config_;
+    PenaltyMatrix penalties_;
 };
 
 } // namespace cooper

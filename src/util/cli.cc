@@ -84,6 +84,18 @@ CliFlags::getInt(const std::string &name) const
     return out;
 }
 
+std::uint64_t
+CliFlags::getCount(const std::string &name, std::uint64_t max) const
+{
+    const std::int64_t value = getInt(name);
+    fatalIf(value < 0, "CliFlags: --", name, "=", value,
+            " must be a non-negative count");
+    const auto count = static_cast<std::uint64_t>(value);
+    fatalIf(count > max, "CliFlags: --", name, "=", value,
+            " is above the maximum ", max);
+    return count;
+}
+
 double
 CliFlags::getDouble(const std::string &name) const
 {

@@ -39,6 +39,15 @@ class CliFlags
 
     std::string get(const std::string &name) const;
     std::int64_t getInt(const std::string &name) const;
+
+    /**
+     * A non-negative count (or port, or id): like getInt(), but a
+     * negative value, or one above `max`, raises FatalError naming the
+     * flag instead of wrapping to a huge unsigned value.
+     */
+    std::uint64_t getCount(const std::string &name,
+                           std::uint64_t max = UINT64_MAX) const;
+
     double getDouble(const std::string &name) const;
     bool getBool(const std::string &name) const;
 

@@ -7,12 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <sstream>
 #include <string>
 
+#include "online/churn.hh"
 #include "online/driver.hh"
+#include "online/events.hh"
 #include "util/cli.hh"
 #include "util/error.hh"
+#include "util/rng.hh"
 
 namespace cooper {
 namespace {
@@ -68,6 +74,36 @@ TEST(CliFlags, MalformedValueFatal)
     const char *argv[] = {"prog", "--n=abc"};
     EXPECT_TRUE(flags.parse(2, argv));
     EXPECT_THROW(flags.getInt("n"), FatalError);
+}
+
+TEST(CliFlags, CountRejectsNegativeAndOutOfRangeValues)
+{
+    CliFlags flags;
+    flags.declare("admit", "8", "admissions per epoch");
+    flags.declare("port", "0", "listen port");
+    flags.declare("zero", "0", "a zero count");
+    const char *argv[] = {"prog", "--admit", "-1", "--port=70000"};
+    EXPECT_TRUE(flags.parse(4, argv));
+
+    EXPECT_EQ(flags.getCount("zero"), 0u);
+    EXPECT_EQ(flags.getCount("port"), 70000u); // no bound asked for
+    EXPECT_EQ(flags.getCount("port", 70000), 70000u);
+    try {
+        flags.getCount("admit");
+        ADD_FAILURE() << "a negative count was accepted";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("--admit"),
+                  std::string::npos)
+            << error.what();
+    }
+    try {
+        flags.getCount("port", 65535);
+        ADD_FAILURE() << "a port above 65535 was accepted";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("--port"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(CliFlags, HelpShortCircuits)
@@ -257,6 +293,67 @@ TEST(CliCommands, ServeGroupSizeMustBeNumeric)
     const char *argv[] = {"prog", "--group-size", "three"};
     EXPECT_TRUE(flags.parse(3, argv));
     EXPECT_THROW(flags.getInt("group-size"), FatalError);
+}
+
+// The built cooper_cli rejects a negative count or an out-of-range
+// port with exit 2, naming the flag, before it replays or listens.
+
+/** Run cooper_cli with `args` under a time cap; returns its exit code
+ *  and leaves stdout and stderr in `output`. */
+int
+runCli(const std::string &args, std::string &output)
+{
+    const std::string command =
+        std::string("timeout 60 ") + COOPER_CLI_PATH + " " + args + " 2>&1";
+    FILE *pipe = popen(command.c_str(), "r");
+    if (pipe == nullptr)
+        return -1;
+    output.clear();
+    char buffer[512];
+    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr)
+        output += buffer;
+    const int status = pclose(pipe);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** A small churn trace on disk for the serve cases. */
+std::string
+writeSmallTrace()
+{
+    ChurnConfig churn;
+    churn.arrivals = 40;
+    churn.initialJobs = 10;
+    Rng rng(3);
+    const ChurnTrace trace =
+        generateChurnTrace(Catalog::paperTableI(), churn, rng);
+    const std::string path = ::testing::TempDir() + "cli_flags_trace.txt";
+    saveTrace(path, trace);
+    return path;
+}
+
+TEST(CliCommands, ServeRejectsANegativeCount)
+{
+    const std::string trace = writeSmallTrace();
+    const std::string out = ::testing::TempDir() + "cli_flags_summary.json";
+    std::string output;
+    EXPECT_EQ(runCli("serve --trace " + trace + " --out " + out +
+                         " --admit -1",
+                     output),
+              2);
+    EXPECT_NE(output.find("--admit"), std::string::npos) << output;
+    // The same replay with a valid count succeeds.
+    EXPECT_EQ(runCli("serve --trace " + trace + " --out " + out +
+                         " --admit 8",
+                     output),
+              0)
+        << output;
+}
+
+TEST(CliCommands, ServeRejectsAPortAboveTheRange)
+{
+    std::string output;
+    EXPECT_EQ(runCli("serve --listen --port 70000", output), 2);
+    EXPECT_NE(output.find("--port"), std::string::npos) << output;
 }
 
 } // namespace

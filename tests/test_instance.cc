@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/instance.hh"
 #include "util/error.hh"
 #include "util/rng.hh"
@@ -38,6 +43,54 @@ TEST_F(InstanceTest, OracularBelievedEqualsTruth)
                 EXPECT_DOUBLE_EQ(instance.trueDisutility(a, b),
                                  instance.believedDisutility(a, b));
             }
+}
+
+std::uint64_t
+bitsOf(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+TEST_F(InstanceTest, BelievedTableMatchesPointQueries)
+{
+    // A believed matrix unlike the truth, so the table must read the
+    // believed side.
+    Rng rng(41);
+    PenaltyMatrix believed(catalog_.size());
+    for (std::size_t i = 0; i < catalog_.size(); ++i)
+        for (std::size_t j = 0; j < catalog_.size(); ++j)
+            believed(i, j) = rng.uniform();
+
+    for (const double jitter : {0.0, 1e-4}) {
+        for (std::size_t n = 1; n <= 64; ++n) {
+            // Few types, so most agents share a type with others.
+            std::vector<JobTypeId> types(n);
+            for (JobTypeId &t : types)
+                t = static_cast<JobTypeId>(rng.uniformInt(4) * 5);
+            const ColocationInstance instance(catalog_, types,
+                                              model_.penaltyMatrix(),
+                                              believed, jitter);
+            for (const std::size_t threads : {1u, 8u}) {
+                const DisutilityTable table = instance.believedTable(threads);
+                ASSERT_EQ(table.agents(), n);
+                ASSERT_EQ(table.candidates(), n);
+                for (AgentId a = 0; a < n; ++a) {
+                    std::vector<double> point(n);
+                    for (AgentId b = 0; b < n; ++b) {
+                        point[b] = instance.believedDisutility(a, b);
+                        ASSERT_EQ(bitsOf(table(a, b)), bitsOf(point[b]))
+                            << "n " << n << " jitter " << jitter
+                            << " threads " << threads << " (" << a << ", "
+                            << b << ")";
+                    }
+                    ASSERT_EQ(bitsOf(table.rowMin(a)),
+                              bitsOf(*std::min_element(point.begin(),
+                                                       point.end())))
+                        << "n " << n << " row " << a;
+                }
+            }
+        }
+    }
 }
 
 TEST_F(InstanceTest, DisutilityNearTypePenalty)

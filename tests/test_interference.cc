@@ -106,6 +106,16 @@ TEST_F(InterferenceTest, MatrixMatchesPointQueries)
             EXPECT_DOUBLE_EQ(m(i, j), model_.penalty(i, j));
 }
 
+TEST_F(InterferenceTest, OutOfRangeTypeFatal)
+{
+    const auto n = static_cast<JobTypeId>(catalog_.size());
+    EXPECT_THROW(model_.penalty(n, 0), FatalError);
+    EXPECT_THROW(model_.penalty(0, n), FatalError);
+    EXPECT_THROW(model_.penalty(n + 7, n + 7), FatalError);
+    EXPECT_THROW(model_.colocatedSeconds(n, 0), FatalError);
+    EXPECT_NO_THROW(model_.penalty(n - 1, n - 1));
+}
+
 TEST_F(InterferenceTest, ColocatedRuntimeInflatedByPenalty)
 {
     const JobTypeId a = id("correlation");

@@ -377,6 +377,74 @@ TEST(OnlineDriver, MetricsEqualTheSummaryTotals)
     }
 }
 
+/** Observation count of histogram `name`; 0 when never recorded. */
+std::uint64_t
+histogramCount(const MetricsSnapshot &snap, const std::string &name)
+{
+    for (const auto &[key, histogram] : snap.histograms)
+        if (key == name)
+            return histogram.count;
+    return 0;
+}
+
+TEST(OnlineDriver, StageTimersCountTheEpochsThatRanEachStage)
+{
+    const Fixture fx;
+    // Sparse arrivals with short lives: the population keeps falling
+    // below two, so the paired stages skip some epochs.
+    const ChurnTrace trace = makeTrace(fx.catalog, 80, 13, 60.0, 90.0);
+    struct Mode
+    {
+        const char *policy;
+        bool incrementalBlocking;
+    };
+    for (const std::size_t threads : {1u, 8u}) {
+        for (const Mode mode : {Mode{"SMR", true}, Mode{"SMR", false},
+                                Mode{"coalition", false}}) {
+            FrameworkConfig config;
+            config.policy = mode.policy;
+            config.execution.threads = threads;
+            config.execution.online.groupSize = 3;
+            config.execution.online.incrementalBlocking =
+                mode.incrementalBlocking;
+
+            ObsConfig obs;
+            obs.metrics = true;
+            const ObsScope scope(obs);
+            OnlineDriver driver(fx.catalog, fx.model, config, 31);
+            const OnlineReport report = driver.run(trace);
+            const MetricsSnapshot snap =
+                scope.session()->metrics()->snapshot();
+
+            const std::uint64_t epochs = report.epochs.size();
+            std::uint64_t paired = 0;
+            for (const OnlineEpochStats &epoch : report.epochs)
+                paired += epoch.population >= 2 ? 1 : 0;
+            SCOPED_TRACE(::testing::Message()
+                         << mode.policy << " incremental "
+                         << mode.incrementalBlocking << " threads "
+                         << threads);
+            ASSERT_GT(paired, 0u);
+            ASSERT_LT(paired, epochs);
+
+            for (const char *every :
+                 {"online.epoch_seconds", "online.stage.drain_seconds",
+                  "online.stage.fault_seconds",
+                  "online.stage.admit_seconds",
+                  "online.stage.commit_seconds"})
+                EXPECT_EQ(histogramCount(snap, every), epochs) << every;
+            // With no fault plan every probe lands, so prediction runs
+            // whenever there is someone to pair.
+            for (const char *pairedOnly :
+                 {"online.predict_seconds", "online.stage.instance_seconds",
+                  "online.stage.believed_seconds",
+                  "online.stage.match_seconds"})
+                EXPECT_EQ(histogramCount(snap, pairedOnly), paired)
+                    << pairedOnly;
+        }
+    }
+}
+
 TEST(OnlineDriver, RestoresFromAPeriodicCheckpointAfterAFailedWrite)
 {
     // Checkpoints every 2 epochs; the write at epoch 4 is scripted to

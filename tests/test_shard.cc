@@ -460,6 +460,95 @@ TEST(ShardedDriver, CheckpointsHonorThePlansCheckpointFailures)
     }
 }
 
+/** Observation count of histogram `name`; 0 when never recorded. */
+std::uint64_t
+histogramCount(const MetricsSnapshot &snap, const std::string &name)
+{
+    for (const auto &[key, histogram] : snap.histograms)
+        if (key == name)
+            return histogram.count;
+    return 0;
+}
+
+TEST(ShardedDriver, StageTimersCountTheEpochsThatRanEachStage)
+{
+    const Fixture fx;
+    const ChurnTrace trace = makeTrace(fx.catalog, 240, 17, 20.0, 300.0);
+    for (const std::size_t threads : {1u, 8u}) {
+        FrameworkConfig config;
+        config.execution.threads = threads;
+        config.execution.online.shards = 3;
+        config.execution.online.checkpointEveryEpochs = 3;
+
+        ObsConfig obs;
+        obs.metrics = true;
+        const ObsScope scope(obs);
+        ShardedDriver driver(fx.catalog, fx.model, config, 5);
+        driver.setCheckpointSink([](const ShardedState &) { return true; });
+        const ShardedReport report = driver.run(trace);
+        const MetricsSnapshot snap = scope.session()->metrics()->snapshot();
+
+        const std::uint64_t epochs = report.epochs.size();
+        std::uint64_t shardEpochs = 0;
+        std::uint64_t paired = 0;
+        for (const OnlineReport &shard : report.perShard)
+            for (const OnlineEpochStats &epoch : shard.epochs) {
+                ++shardEpochs;
+                paired += epoch.population >= 2 ? 1 : 0;
+            }
+        SCOPED_TRACE(::testing::Message() << "threads " << threads);
+        ASSERT_GT(epochs, 3u);
+        ASSERT_GT(paired, 0u);
+
+        EXPECT_EQ(histogramCount(snap, "shard.epoch_seconds"), epochs);
+        EXPECT_EQ(histogramCount(snap, "shard.stage.route_seconds"), epochs);
+        EXPECT_EQ(histogramCount(snap, "shard.stage.rebalance_seconds"),
+                  epochs);
+        // A fleet checkpoint is due after every third committed epoch.
+        EXPECT_EQ(histogramCount(snap, "shard.stage.checkpoint_seconds"),
+                  epochs / 3);
+        for (const char *every :
+             {"online.stage.drain_seconds", "online.stage.fault_seconds",
+              "online.stage.admit_seconds", "online.stage.commit_seconds"})
+            EXPECT_EQ(histogramCount(snap, every), shardEpochs) << every;
+        for (const char *pairedOnly :
+             {"online.predict_seconds", "online.stage.instance_seconds",
+              "online.stage.believed_seconds", "online.stage.match_seconds"})
+            EXPECT_EQ(histogramCount(snap, pairedOnly), paired)
+                << pairedOnly;
+    }
+}
+
+TEST(ShardedDriver, SummaryIsByteIdenticalWithMetricsOnAndOff)
+{
+    const Fixture fx;
+    const ChurnTrace trace = makeTrace(fx.catalog, 240, 19, 4.0, 500.0);
+    for (const std::size_t threads : {1u, 8u}) {
+        std::vector<std::string> summaries;
+        std::vector<std::string> checkpoints;
+        for (const bool metrics : {false, true}) {
+            FrameworkConfig config;
+            config.execution.threads = threads;
+            config.execution.online.shards = 4;
+            config.execution.online.checkpointEveryEpochs = 2;
+            ObsConfig obs;
+            obs.metrics = metrics;
+            const ObsScope scope(obs);
+            ShardedDriver driver(fx.catalog, fx.model, config, 7);
+            std::string last;
+            driver.setCheckpointSink([&last](const ShardedState &state) {
+                last = checkpointOf(state);
+                return true;
+            });
+            summaries.push_back(summaryOf(driver.run(trace)));
+            checkpoints.push_back(last);
+        }
+        EXPECT_FALSE(checkpoints[0].empty());
+        EXPECT_EQ(summaries[1], summaries[0]) << "threads " << threads;
+        EXPECT_EQ(checkpoints[1], checkpoints[0]) << "threads " << threads;
+    }
+}
+
 TEST(ShardedDriver, RestoreRefusesForeignCheckpoints)
 {
     const Fixture fx;

@@ -130,7 +130,7 @@ declareThreads(CliFlags &flags)
 std::size_t
 threadsFromFlags(const CliFlags &flags)
 {
-    return static_cast<std::size_t>(flags.getInt("threads"));
+    return flags.getCount("threads");
 }
 
 /** Dense believed matrix from a (possibly sparse) profiles file. */
@@ -166,8 +166,7 @@ populationFromFlags(const Catalog &catalog, const CliFlags &flags)
             mix = candidate;
     Rng rng(static_cast<std::uint64_t>(flags.getInt("seed")));
     return samplePopulation(
-        catalog, static_cast<std::size_t>(flags.getInt("agents")), mix,
-        rng);
+        catalog, flags.getCount("agents"), mix, rng);
 }
 
 int
@@ -188,7 +187,7 @@ cmdProfile(int argc, const char *const *argv)
         static_cast<std::uint64_t>(flags.getInt("seed")));
     const SparseMatrix profiles = profiler.sampleProfiles(
         flags.getDouble("ratio"), 2,
-        static_cast<std::size_t>(flags.getInt("repeats")));
+        flags.getCount("repeats"));
     saveProfiles(flags.get("out"), profiles);
     std::cout << "profiled " << profiles.knownCount() << " of "
               << catalog.size() * catalog.size() << " colocations ("
@@ -210,8 +209,7 @@ cmdPredict(int argc, const char *const *argv)
 
     const SparseMatrix sparse = loadProfiles(flags.get("in"));
     ItemKnnConfig config;
-    config.iterations =
-        static_cast<std::size_t>(flags.getInt("iterations"));
+    config.iterations = flags.getCount("iterations");
     config.threads = threadsFromFlags(flags);
     const Prediction prediction =
         ItemKnnPredictor(config).predict(sparse);
@@ -393,8 +391,7 @@ cmdEpoch(int argc, const char *const *argv)
     // Attribute the matched agents' total interference with a sampled
     // Shapley value (the game tier's hot path). CoalitionMask bounds
     // the coalition, so attribute across the most-penalized agents.
-    const auto samples =
-        static_cast<std::size_t>(flags.getInt("shapley-samples"));
+    const auto samples = flags.getCount("shapley-samples");
     if (samples > 0) {
         std::vector<double> penalties = report.penalties;
         std::sort(penalties.begin(), penalties.end(),
@@ -520,41 +517,25 @@ cmdServe(int argc, const char *const *argv)
     config.alpha = flags.getDouble("alpha");
     config.execution.threads = threadsFromFlags(flags);
     OnlineConfig &online = config.execution.online;
-    online.epochTicks =
-        static_cast<std::uint64_t>(flags.getInt("epoch-ticks"));
-    online.admitPerEpoch =
-        static_cast<std::size_t>(flags.getInt("admit"));
-    online.maxQueueDepth =
-        static_cast<std::size_t>(flags.getInt("queue-depth"));
-    online.probesPerArrival =
-        static_cast<std::size_t>(flags.getInt("probes"));
-    online.profileRepeats =
-        static_cast<std::size_t>(flags.getInt("repeats"));
-    online.refreshProbesPerEpoch =
-        static_cast<std::size_t>(flags.getInt("refresh"));
-    online.migrationBudget =
-        static_cast<std::size_t>(flags.getInt("budget"));
-    online.fullRematchBlockingPairs =
-        static_cast<std::size_t>(flags.getInt("rematch-threshold"));
+    online.epochTicks = flags.getCount("epoch-ticks");
+    online.admitPerEpoch = flags.getCount("admit");
+    online.maxQueueDepth = flags.getCount("queue-depth");
+    online.probesPerArrival = flags.getCount("probes");
+    online.profileRepeats = flags.getCount("repeats");
+    online.refreshProbesPerEpoch = flags.getCount("refresh");
+    online.migrationBudget = flags.getCount("budget");
+    online.fullRematchBlockingPairs = flags.getCount("rematch-threshold");
     online.incremental = flags.getInt("full-predict") == 0;
-    online.probeMaxRetries =
-        static_cast<std::size_t>(flags.getInt("probe-retries"));
-    online.probeBudgetPerEpoch =
-        static_cast<std::size_t>(flags.getInt("probe-budget"));
-    online.quarantineAfterFailures =
-        static_cast<std::size_t>(flags.getInt("quarantine-after"));
-    online.quarantineEpochs =
-        static_cast<std::uint64_t>(flags.getInt("quarantine-epochs"));
-    online.checkpointEveryEpochs =
-        static_cast<std::uint64_t>(flags.getInt("checkpoint-every"));
-    online.groupSize =
-        static_cast<std::size_t>(flags.getInt("group-size"));
-    const auto shardCount =
-        static_cast<std::size_t>(flags.getInt("shards"));
+    online.probeMaxRetries = flags.getCount("probe-retries");
+    online.probeBudgetPerEpoch = flags.getCount("probe-budget");
+    online.quarantineAfterFailures = flags.getCount("quarantine-after");
+    online.quarantineEpochs = flags.getCount("quarantine-epochs");
+    online.checkpointEveryEpochs = flags.getCount("checkpoint-every");
+    online.groupSize = flags.getCount("group-size");
+    const auto shardCount = flags.getCount("shards");
     if (shardCount > 0)
         online.shards = shardCount;
-    online.rebalanceBudgetPerEpoch =
-        static_cast<std::size_t>(flags.getInt("rebalance-budget"));
+    online.rebalanceBudgetPerEpoch = flags.getCount("rebalance-budget");
 
     // Fail fast on a bad policy/group/shard combination — before any
     // trace is loaded or socket bound.
@@ -574,8 +555,7 @@ cmdServe(int argc, const char *const *argv)
         // so the summary is byte-identical to the --trace replay.
         // --runs N hosts N independent replays (run r seeded seed+r)
         // behind the same epoll loop.
-        const auto runs =
-            static_cast<std::uint64_t>(flags.getInt("runs"));
+        const auto runs = flags.getCount("runs");
         fatalIf(runs == 0, "serve: --runs must be >= 1");
         fatalIf(runs > 1 && !flags.get("restore").empty(),
                 "serve: --restore only applies to a single run "
@@ -654,11 +634,10 @@ cmdServe(int argc, const char *const *argv)
 
         net::ServerConfig server_config;
         server_config.port =
-            static_cast<std::uint16_t>(flags.getInt("port"));
-        server_config.maxPendingPerConn = static_cast<std::uint64_t>(
-            flags.getInt("max-pending"));
+            static_cast<std::uint16_t>(flags.getCount("port", 65535));
+        server_config.maxPendingPerConn = flags.getCount("max-pending");
         server_config.idleTimeoutMs = static_cast<std::uint32_t>(
-            flags.getInt("idle-timeout-ms"));
+            flags.getCount("idle-timeout-ms", UINT32_MAX));
         net::EpollServer server(server_config);
         for (std::uint64_t r = 0; r < runs; ++r)
             server.addRun(r, *planes[r]);

@@ -106,19 +106,16 @@ main(int argc, char **argv)
         net::LoadGenConfig config;
         config.host = flags.get("host");
         config.port =
-            static_cast<std::uint16_t>(flags.getInt("port"));
+            static_cast<std::uint16_t>(flags.getCount("port", 65535));
         fatalIf(config.port == 0, "load_gen: --port is required");
-        config.connections =
-            static_cast<std::size_t>(flags.getInt("connections"));
+        config.connections = flags.getCount("connections");
         config.eventsPerSecond = flags.getDouble("rate");
         if (flags.getInt("subscribe-assignments") != 0)
             config.subscriptions |= net::kSubscribeAssignments;
         if (flags.getInt("subscribe-probes") != 0)
             config.subscriptions |= net::kSubscribeProbes;
-        const auto baseRun =
-            static_cast<std::uint64_t>(flags.getInt("run-id"));
-        const auto runs =
-            static_cast<std::uint64_t>(flags.getInt("runs"));
+        const auto baseRun = flags.getCount("run-id");
+        const auto runs = flags.getCount("runs");
         fatalIf(runs == 0, "load_gen: --runs must be >= 1");
 
         const ChurnTrace trace = loadTrace(flags.get("trace"));

@@ -40,10 +40,8 @@ main(int argc, char **argv)
             return 0;
 
         ChurnConfig config;
-        config.arrivals =
-            static_cast<std::size_t>(flags.getInt("arrivals"));
-        config.initialJobs =
-            static_cast<std::size_t>(flags.getInt("initial"));
+        config.arrivals = flags.getCount("arrivals");
+        config.initialJobs = flags.getCount("initial");
         config.meanInterarrivalTicks = flags.getDouble("mean-gap");
         config.meanLifetimeTicks = flags.getDouble("mean-life");
         config.openEnded = flags.getInt("open-ended") != 0;
